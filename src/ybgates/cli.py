@@ -40,8 +40,12 @@ _NAMED = {
 }
 
 
-class InputError(Exception):
-    """Malformed gate specification or flags (exit code 2)."""
+class InputError(ValueError, argparse.ArgumentTypeError):
+    """Malformed gate specification or flags (exit code 2).
+
+    argparse reports it as a usage error, with this message, when a flag's
+    type function raises it.
+    """
 
 
 class NonUnitaryError(Exception):
@@ -54,21 +58,29 @@ _PI_RE = re.compile(
 
 
 def parse_angle(v) -> float:
-    """Float or exact pi-expression string -> radians."""
+    """Float or exact pi-expression string -> finite radians."""
     if isinstance(v, (int, float)):
-        return float(v)
-    if isinstance(v, str):
+        try:
+            x = float(v)
+        except OverflowError:
+            x = math.inf
+    elif isinstance(v, str):
         m = _PI_RE.match(v)
         if m:
             num = float(m.group("num") or 1.0)
             den = float(m.group("den") or 1.0)
             sign = -1.0 if m.group("sign") == "-" else 1.0
-            return sign * num * math.pi / den
-        try:
-            return float(v)
-        except ValueError:
-            raise InputError(f"cannot parse angle {v!r}")
-    raise InputError(f"cannot parse angle {v!r}")
+            x = sign * num * math.pi / den if den else math.inf
+        else:
+            try:
+                x = float(v)
+            except ValueError:
+                raise InputError(f"cannot parse angle {v!r}")
+    else:
+        raise InputError(f"cannot parse angle {v!r}")
+    if not math.isfinite(x):
+        raise InputError(f"angle {v!r} is not finite")
+    return x
 
 
 def _parse_matrix(rows) -> np.ndarray:

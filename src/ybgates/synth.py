@@ -12,12 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import I2, I4, dagger, frob, kron, phase_distance
+from .linalg import I2, I4, SX, SZ, dagger, frob, kron, phase_distance
 from .weyl import kak_decompose, min_cnot_count
 
 _SINGLE_KINDS = ("H", "S", "SDG", "T", "TDG", "RZ")
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _S = np.diag([1, 1j]).astype(complex)
+_SDG = dagger(_S)
 _T = np.diag([1, cmath.exp(0.25j * math.pi)]).astype(complex)
 
 
@@ -70,7 +71,7 @@ class GateOp:
         m = {
             "H": _H,
             "S": _S,
-            "SDG": dagger(_S),
+            "SDG": _SDG,
             "T": _T,
             "TDG": dagger(_T),
             "RZ": rz_matrix(self.angle) if self.kind == "RZ" else None,
@@ -167,7 +168,13 @@ def synth_zz(theta: float) -> Circuit:
 
 
 def _core_template(a, n: int) -> list:
-    """Gate skeleton realizing the nonlocal class of chamber point a with n CNOTs."""
+    """Gate skeleton realizing core_gate(a) inside fixed frames with n CNOTs.
+
+    For every canonical chamber point a with min_cnot_count(a) == n,
+    evaluate(Circuit(_core_template(a, n))) equals
+    e^{i theta} (F1 x F2) core_gate(a) (F3 x F4) exactly, with
+    (F1, F2, F3, F4, theta) = _TEMPLATE_FRAMES[n].
+    """
     a1, a2, a3 = (float(x) for x in a)
     if n == 0:
         return []
@@ -195,27 +202,35 @@ def _core_template(a, n: int) -> list:
     return ops
 
 
+# Fixed Clifford frames (F1, F2, F3, F4, theta) of each n-CNOT skeleton,
+# independent of the chamber point (Vatan & Williams, PRA 69, 032315;
+# Shende, Markov & Bullock, PRA 69, 062321).
+_TEMPLATE_FRAMES = {
+    0: (I2, I2, I2, I2, 0.0),
+    1: (SZ @ _H @ SZ, I2, SZ @ _H @ _S, _S @ _H @ _S, 0.0),
+    2: (_SDG @ _H @ _S,) * 4 + (0.0,),
+    3: (SX @ _S @ _H, SX @ _S @ _H, SZ @ _H @ _S, SZ @ _H @ _S, math.pi),
+}
+
+
 def synth_general(u: np.ndarray) -> Circuit:
     """Minimal-CNOT circuit for an arbitrary two-qubit unitary.
 
     The CNOT skeleton matching the canonical chamber point is dressed
-    with single-qubit corrections computed by comparing the Cartan
-    decompositions of the target and of the bare skeleton.
+    with single-qubit corrections that map the target's Cartan frames
+    onto the skeleton's fixed template frames.
     """
     u = np.asarray(u, dtype=complex)
     ku = kak_decompose(u)
     n = min_cnot_count(ku.a)
-    core_ops = _core_template(ku.a, n)
-    km = kak_decompose(evaluate(Circuit(core_ops)))
+    f1, f2, f3, f4, theta = _TEMPLATE_FRAMES[n]
     ops: list = []
-    phase = ku.phase - km.phase
-    phase += _emit_local(ops, 0, dagger(km.v3) @ ku.v3)
-    phase += _emit_local(ops, 1, dagger(km.v4) @ ku.v4)
-    ops.extend(core_ops)
-    tail: list = []
-    phase += _emit_local(tail, 0, ku.v1 @ dagger(km.v1))
-    phase += _emit_local(tail, 1, ku.v2 @ dagger(km.v2))
-    ops.extend(tail)
+    phase = ku.phase - theta
+    phase += _emit_local(ops, 0, dagger(f3) @ ku.v3)
+    phase += _emit_local(ops, 1, dagger(f4) @ ku.v4)
+    ops.extend(_core_template(ku.a, n))
+    phase += _emit_local(ops, 0, ku.v1 @ dagger(f1))
+    phase += _emit_local(ops, 1, ku.v2 @ dagger(f2))
     c = Circuit(ops, _wrap(phase))
     res = verify_circuit(c, u)
     if res > 1e-7:

@@ -26,7 +26,6 @@ from .linalg import (
     kron,
     phase_distance,
     sym_unitary_eig,
-    unitarity_residual,
 )
 
 CHAMBER_TOL = 1e-7
@@ -62,14 +61,11 @@ def magic_basis() -> np.ndarray:
 def core_gate(a) -> np.ndarray:
     """exp(i/2 (a1 XX + a2 YY + a3 ZZ)) for arbitrary finite angles."""
     a1, a2, a3 = (float(x) for x in a)
-    h = a1 * kron(SX, SX) + a2 * kron(SY, SY) + a3 * kron(SZ, SZ)
-    # The three terms commute; diagonalize in the magic basis instead of expm.
+    # The three terms commute and are diagonal in the magic basis.
     d = np.array(
         [a1 - a2 + a3, a1 + a2 - a3, -a1 - a2 - a3, -a1 + a2 + a3]
     )
-    u = _MAGIC @ np.diag(np.exp(0.5j * d)) @ dagger(_MAGIC)
-    assert frob(h @ u - u @ h) < 1e-9 * (1 + frob(h))
-    return u
+    return _MAGIC @ np.diag(np.exp(0.5j * d)) @ dagger(_MAGIC)
 
 
 def _magic_phases_to_a(d: np.ndarray):
@@ -82,50 +78,11 @@ def _magic_phases_to_a(d: np.ndarray):
     return a0, np.array([a1, a2, a3])
 
 
-@dataclass(frozen=True)
-class LambdaSpectrum:
-    """Multiset of the four unit-modulus local invariants."""
-
-    values: tuple
-
-    def sorted_angles(self) -> np.ndarray:
-        return np.sort(np.angle(np.asarray(self.values)))
-
-    def close_to(self, other: "LambdaSpectrum", tol: float = 1e-8) -> bool:
-        # sorting complex values can split nearly-equal pairs, so compare
-        # as multisets instead
-        return _multiset_close(np.asarray(self.values), np.asarray(other.values), tol)
-
-
-def _multiset_close(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    b = list(b)
-    for x in a:
-        hit = None
-        for k, y in enumerate(b):
-            if abs(x - y) <= tol:
-                hit = k
-                break
-        if hit is None:
-            return False
-        b.pop(hit)
-    return True
-
-
-def _su4_normalize(u: np.ndarray) -> np.ndarray:
-    det = np.linalg.det(u)
-    return u * det ** (-0.25)
-
-
-def lambda_spectrum(u: np.ndarray) -> LambdaSpectrum:
-    """Eigenvalues of m = U_Q^T U_Q for the SU(4)-normalized gate."""
+def _magic_frame(u: np.ndarray) -> np.ndarray:
+    """The SU(4)-normalized gate in the magic basis."""
     u = np.asarray(u, dtype=complex)
-    if not is_unitary(u, 1e-8):
-        raise ValueError("lambda_spectrum requires a unitary input")
-    v = _su4_normalize(u)
-    uq = dagger(_MAGIC) @ v @ _MAGIC
-    m = uq.T @ uq
-    angles, _ = sym_unitary_eig(m)
-    return LambdaSpectrum(tuple(np.exp(1j * angles)))
+    v = u * np.linalg.det(u) ** (-0.25)
+    return dagger(_MAGIC) @ v @ _MAGIC
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +228,7 @@ def _factor_local(k: np.ndarray):
 
 def _magic_kak_raw(u: np.ndarray):
     """Raw magic-basis KAK: U = e^{i a0} K1 core(a_raw) K2 with K's local."""
-    v = _su4_normalize(np.asarray(u, dtype=complex))
-    ubar = dagger(_MAGIC) @ v @ _MAGIC
+    ubar = _magic_frame(u)
     m = ubar.T @ ubar
     angles, p = sym_unitary_eig(m)
     if np.linalg.det(p) < 0:
@@ -360,8 +316,7 @@ def entangling_power(u: np.ndarray) -> float:
     u = np.asarray(u, dtype=complex)
     if not is_unitary(u, 1e-8):
         raise ValueError("entangling_power requires a unitary input")
-    v = _su4_normalize(u)
-    uq = dagger(_MAGIC) @ v @ _MAGIC
+    uq = _magic_frame(u)
     tr = np.trace(uq.T @ uq)
     ep = (2 / 9) * (1 - abs(tr) ** 2 / 16)
     return float(min(max(ep, 0.0), 2 / 9))
@@ -372,15 +327,6 @@ def entangling_power_from_point(a) -> float:
     c = math.cos(a1) ** 2 * math.cos(a2) ** 2 * math.cos(a3) ** 2
     s = math.sin(a1) ** 2 * math.sin(a2) ** 2 * math.sin(a3) ** 2
     return (2 / 9) * (1 - (c + s))
-
-
-def haar_product_state(rng) -> np.ndarray:
-    """Haar-random product state |psi1> x |psi2> from normalized Gaussians."""
-    parts = []
-    for _ in range(2):
-        z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        parts.append(z / np.linalg.norm(z))
-    return np.kron(parts[0], parts[1])
 
 
 def entangling_power_mc(u: np.ndarray, n: int, seed: int = 0) -> float:

@@ -35,6 +35,46 @@ def test_parse_angle():
     assert cli.parse_angle(1.5) == 1.5
     with pytest.raises(cli.InputError):
         cli.parse_angle("two pi")
+    for v in ("nan", "inf", "-inf", "1e999", "pi/0", float("nan"), 10**400):
+        with pytest.raises(cli.InputError, match="finite"):
+            cli.parse_angle(v)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--mu", "foo", "-"),
+        ("analyze", "--nu", "foo", "-"),
+        ("verify", "--mu", "foo", "-"),
+        ("verify", "--nu", "foo", "-"),
+    ],
+)
+def test_bad_angle_flag_is_usage_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "cannot parse angle 'foo'" in err
+
+
+@pytest.mark.parametrize(
+    "argv, spec",
+    [
+        (("analyze", "-"), {"braid": {"family": "IV", "phi": ["nan"]}}),
+        (("analyze", "-"), {"yb": {"family": "I", "mu": "1e999", "phi": [0, 0, 0]}}),
+        (("synth", "-"), {"braid": {"family": "IV", "phi": [10**400]}}),
+        (("analyze", "--mu", "inf", "-"), {"named": "cnot"}),
+        (("verify", "--nu", "nan", "-"), {"named": "cnot"}),
+        (("sweep", "--family", "I", "--phi-grid", "nan,0.3", "--mu-grid", "0"), None),
+        (("sweep", "--family", "IV", "--phi-grid", "0", "--mu-grid", "lin:0:1e999:3"), None),
+    ],
+)
+def test_non_finite_angle_exit_two(capsys, monkeypatch, argv, spec):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(spec)))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
 
 
 def test_parse_grid():

@@ -4,14 +4,18 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
 from ybgates.baxterize import YbSpec, build_yb
 from ybgates.braid import BraidSpec, build_braid
 from ybgates.linalg import SZ, frob, kron, phase_distance
 from ybgates.synth import (
+    _TEMPLATE_FRAMES,
     Circuit,
     GateOp,
+    _core_template,
     cnot_matrix,
     euler_zxz,
     evaluate,
@@ -22,7 +26,7 @@ from ybgates.synth import (
     synth_zz,
     verify_circuit,
 )
-from ybgates.weyl import CNOT, SWAP, core_gate, extract_nonlocal, min_cnot_count
+from ybgates.weyl import CNOT, SWAP, canonicalize, core_gate, extract_nonlocal, min_cnot_count
 
 RNG = np.random.default_rng(47)
 PI = math.pi
@@ -123,6 +127,68 @@ def test_synth_general_landmarks():
         c = synth_general(u)
         assert c.cnot_count == n
         assert verify_circuit(c, u) < 1e-7
+
+
+def _chamber_points(rng, k=40):
+    """Canonical chamber points in the interior and on each face."""
+    pts = {"interior": [canonicalize(rng.uniform(-4, 4, 3)) for _ in range(k)]}
+    x, y, z = (rng.uniform(0, 1, k) for _ in range(3))
+    s, t = np.maximum(x, y), np.minimum(x, y)
+    # a3 = 0 base, a1 <= pi/2
+    pts["a3=0"] = [np.array([PI / 2 * p, PI / 2 * q, 0.0]) for p, q in zip(s, t)]
+    # a1 = a2 face
+    pts["a1=a2"] = [np.array([PI / 2 * p, PI / 2 * p, PI / 2 * q]) for p, q in zip(s, t)]
+    # a2 = a3 face
+    pts["a2=a3"] = [
+        np.array([PI * p * (1 - q / 2), PI / 2 * p * q, PI / 2 * p * q]) for p, q in zip(x, z)
+    ]
+    # a1 + a2 = pi face
+    pts["a1+a2=pi"] = [np.array([PI - PI / 2 * p, PI / 2 * p, PI / 2 * q]) for p, q in zip(s, t)]
+    return pts
+
+
+def test_template_frames():
+    """Each n-CNOT skeleton is e^{i theta} (F1 x F2) core_gate(a) (F3 x F4)."""
+    pts = _chamber_points(np.random.default_rng(3))
+    cases = {
+        0: [np.zeros(3)],
+        1: [np.array([PI / 2, 0.0, 0.0])],
+        2: pts["a3=0"] + [np.array([PI / 2, PI / 2, 0.0])],
+        3: [a for face in pts.values() for a in face],
+    }
+    for n, points in cases.items():
+        f1, f2, f3, f4, theta = _TEMPLATE_FRAMES[n]
+        for a in points:
+            expected = cmath.exp(1j * theta) * kron(f1, f2) @ core_gate(a) @ kron(f3, f4)
+            got = evaluate(Circuit(_core_template(a, n)))
+            assert frob(got - expected) < 1e-12, (n, a)
+
+
+def _local(seed):
+    rng = np.random.default_rng(seed)
+    return kron(unitary_group.rvs(2, random_state=rng), unitary_group.rvs(2, random_state=rng))
+
+
+# Barycentric weights over the chamber vertices O, A1, A2, A3; a zero
+# weight puts the point on a face, two zeros on an edge.
+_VERTICES = np.array([[0, 0, 0], [PI, 0, 0], [PI / 2, PI / 2, 0], [PI / 2, PI / 2, PI / 2]])
+_LANDMARKS = [(0, 0, 0), (PI / 2, 0, 0), (PI / 2, PI / 2, 0), (PI / 2, PI / 2, PI / 2)]
+chamber_point = st.one_of(
+    st.lists(st.floats(0, 1), min_size=4, max_size=4)
+    .filter(lambda w: sum(w) > 1e-3)
+    .map(lambda w: canonicalize(np.asarray(w) @ _VERTICES / sum(w))),
+    st.sampled_from(_LANDMARKS).map(np.array),
+)
+seeds = st.integers(0, 2**32 - 1)
+
+
+@given(chamber_point, seeds, seeds)
+def test_synth_general_exact_with_phase(a, left, right):
+    u = _local(left) @ core_gate(a) @ _local(right)
+    c = synth_general(u)
+    # frob, not verify_circuit: the declared global phase must be right too
+    assert frob(evaluate(c) - u) <= 1e-7
+    assert c.cnot_count == min_cnot_count(a)
 
 
 def test_synth_general_gate_set():

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.stats import unitary_group
 
-from ybgates.linalg import frob, kron, unitarity_residual
+from ybgates.linalg import SX, SY, SZ, frob, kron, unitarity_residual
 from ybgates.weyl import (
     CNOT,
     ISWAP,
@@ -17,7 +18,6 @@ from ybgates.weyl import (
     entangling_power_mc,
     extract_nonlocal,
     kak_decompose,
-    lambda_spectrum,
     locally_equivalent,
     magic_basis,
     min_cnot_count,
@@ -51,6 +51,11 @@ def test_core_gate_is_magic_diagonal():
         a = RNG.uniform(0, PI, 3)
         d = q.conj().T @ core_gate(a) @ q
         assert frob(d - np.diag(np.diag(d))) < 1e-12
+    # oracle: core_gate(a) = expm(i/2 (a1 XX + a2 YY + a3 ZZ)) for any angles
+    for _ in range(40):
+        a = RNG.uniform(-3 * PI, 3 * PI, 3)
+        h = a[0] * kron(SX, SX) + a[1] * kron(SY, SY) + a[2] * kron(SZ, SZ)
+        assert frob(core_gate(a) - sla.expm(0.5j * h)) < 1e-12
 
 
 def test_canonicalize_lands_in_chamber():
@@ -113,20 +118,6 @@ def test_extract_nonlocal_local_invariance():
         a = extract_nonlocal(u)
         b = extract_nonlocal(random_local() @ u @ random_local())
         assert np.allclose(a, b, atol=1e-7)
-
-
-def test_lambda_spectrum_local_invariance():
-    # determinant normalization leaves a fourth-root-of-unity ambiguity,
-    # so the spectra match after one global phase from {1, i, -1, -i}
-    from ybgates.weyl import LambdaSpectrum
-
-    u = unitary_group.rvs(4, random_state=RNG)
-    s1 = lambda_spectrum(u)
-    s2 = lambda_spectrum(random_local() @ u @ random_local())
-    assert any(
-        s1.close_to(LambdaSpectrum(tuple(np.asarray(s2.values) * w)), tol=1e-7)
-        for w in (1, 1j, -1, -1j)
-    )
 
 
 def test_entangling_power_formulas_agree():
