@@ -9,10 +9,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .braid import BraidSpec, build_braid
-from .linalg import I2, I4, dagger, frob, kron, phase_distance, unitarity_residual
+from .linalg import I2, I4, SX, dagger, frob, kron, phase_distance, unitarity_residual
 from .weyl import canonicalize, entangling_power_from_point
 
 _YB_PARAM_COUNT = {"I": 3, "II": 3, "III": 2, "IV": 1}
+# Family II gates are family I gates conjugated by X on qubit 1.
+_X1 = kron(I2, SX)
 
 
 @dataclass(frozen=True)
@@ -247,8 +249,7 @@ def build_yb(spec: YbSpec) -> np.ndarray:
             oo = cmath.cosh(0.5 * (mu - 1j * phi)) / math.sqrt(delta)
             r = _swap_like_kind(np.array([[dd, ew * oo], [oo / ew, dd]]))
         if fam == "II":
-            g = np.kron(I2, np.array([[0, 1], [1, 0]]))
-            r = g @ r @ g
+            r = _X1 @ r @ _X1
         return r
 
     # family III

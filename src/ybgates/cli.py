@@ -11,8 +11,9 @@ Gate specifications are JSON objects holding exactly one of:
 Angles may be decimal literals or exact pi expressions such as "pi/2",
 "-3pi/4", "2*pi/3".
 
-Exit codes: 0 success, 1 verification failure, 2 input error,
-3 non-unitary input, 4 synthesis residual failure.
+Exit codes: 0 success, 1 verification failure, 2 input error (including
+parameters whose gate overflows), 3 non-unitary input, 4 synthesis
+residual failure.
 """
 
 from __future__ import annotations
@@ -370,6 +371,9 @@ def main(argv=None) -> int:
         return 3
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except ArithmeticError as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 
 

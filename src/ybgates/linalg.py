@@ -22,13 +22,13 @@ PAULIS = (I2, SX, SY, SZ)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product restricted to results of dimension <= 8."""
+    """Kronecker product of square matrices, restricted to results of dimension <= 8."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     n = a.shape[0] * b.shape[0]
     if n > 8:
         raise ValueError(f"kron result dimension {n} exceeds 8")
-    return np.kron(a, b)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
 
 
 def dagger(m: np.ndarray) -> np.ndarray:

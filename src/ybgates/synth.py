@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import I2, I4, SX, SZ, dagger, frob, kron, phase_distance
-from .weyl import kak_decompose, min_cnot_count
+from .weyl import CNOT, SWAP, kak_decompose, min_cnot_count
 
 _SINGLE_KINDS = ("H", "S", "SDG", "T", "TDG", "RZ")
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -22,22 +22,26 @@ _SDG = dagger(_S)
 _T = np.diag([1, cmath.exp(0.25j * math.pi)]).astype(complex)
 
 
+# Read-only 4x4 matrix of every angle-free op, keyed by (kind, qubits).
+_FIXED_OPS = {
+    (kind, (q,)): kron(g, I2) if q == 0 else kron(I2, g)
+    for kind, g in (("H", _H), ("S", _S), ("SDG", _SDG), ("T", _T), ("TDG", dagger(_T)))
+    for q in (0, 1)
+}
+_FIXED_OPS["CNOT", (0, 1)] = CNOT.copy()
+_FIXED_OPS["CNOT", (1, 0)] = SWAP @ CNOT @ SWAP
+for _m in _FIXED_OPS.values():
+    _m.setflags(write=False)
+# Rz(theta) on qubit q is diag(exp(0.5j * theta * _RZ_SIGNS[q])).
+_RZ_SIGNS = (np.array([-1, -1, 1, 1]), np.array([-1, 1, -1, 1]))
+
+
 def rz_matrix(theta: float) -> np.ndarray:
     return np.diag([cmath.exp(-0.5j * theta), cmath.exp(0.5j * theta)])
 
 
 def rx_matrix(theta: float) -> np.ndarray:
     return _H @ rz_matrix(theta) @ _H
-
-
-def cnot_matrix(control: int, target: int) -> np.ndarray:
-    m = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        bits = [(i >> 1) & 1, i & 1]
-        if bits[control]:
-            bits[target] ^= 1
-        m[(bits[0] << 1) | bits[1], i] = 1
-    return m
 
 
 @dataclass(frozen=True)
@@ -65,19 +69,14 @@ class GateOp:
             raise ValueError(f"{self.kind} takes no angle")
 
     def matrix(self) -> np.ndarray:
-        """4x4 matrix of the op with qubit 0 as the left tensor factor."""
-        if self.kind == "CNOT":
-            return cnot_matrix(*self.qubits)
-        m = {
-            "H": _H,
-            "S": _S,
-            "SDG": _SDG,
-            "T": _T,
-            "TDG": dagger(_T),
-            "RZ": rz_matrix(self.angle) if self.kind == "RZ" else None,
-        }[self.kind]
-        (q,) = self.qubits
-        return kron(m, I2) if q == 0 else kron(I2, m)
+        """4x4 matrix of the op with qubit 0 as the left tensor factor.
+
+        Only RZ builds a matrix; every other op returns its read-only
+        entry of the fixed op table.
+        """
+        if self.kind == "RZ":
+            return np.diag(np.exp(0.5j * self.angle * _RZ_SIGNS[self.qubits[0]]))
+        return _FIXED_OPS[self.kind, self.qubits]
 
 
 @dataclass
@@ -188,17 +187,13 @@ def _core_template(a, n: int) -> list:
         _emit_rz(ops, 1, -a2)
         ops.append(GateOp("CNOT", (0, 1)))
         return ops
-    ops = [GateOp("CNOT", (0, 1)), GateOp("H", (0,)), GateOp("S", (0,))]
-    _emit_rz(ops, 0, -a2)
+    ops = [GateOp("CNOT", (0, 1)), GateOp("H", (0,))]
+    _emit_rz(ops, 0, math.pi / 2 - a2)
     _emit_rz(ops, 1, -a1)
     ops.append(GateOp("CNOT", (0, 1)))
     _emit_rz(ops, 1, a3)
     ops.append(GateOp("H", (1,)))
     ops.append(GateOp("CNOT", (1, 0)))
-    ops.append(GateOp("SDG", (0,)))
-    ops.append(GateOp("S", (1,)))
-    ops.append(GateOp("H", (0,)))
-    ops.append(GateOp("H", (1,)))
     return ops
 
 
@@ -209,7 +204,8 @@ _TEMPLATE_FRAMES = {
     0: (I2, I2, I2, I2, 0.0),
     1: (SZ @ _H @ SZ, I2, SZ @ _H @ _S, _S @ _H @ _S, 0.0),
     2: (_SDG @ _H @ _S,) * 4 + (0.0,),
-    3: (SX @ _S @ _H, SX @ _S @ _H, SZ @ _H @ _S, SZ @ _H @ _S, math.pi),
+    3: (_S @ _H @ SX @ _S @ _H, _SDG @ _H @ SX @ _S @ _H)
+    + (SZ @ _H @ _S,) * 2 + (0.75 * math.pi,),
 }
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    I2,
     SX,
     SY,
     SZ,
@@ -41,6 +40,7 @@ _MAGIC = np.array(
     ],
     dtype=complex,
 ) / np.sqrt(2)
+_MAGIC_DAG = dagger(_MAGIC)
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -65,7 +65,7 @@ def core_gate(a) -> np.ndarray:
     d = np.array(
         [a1 - a2 + a3, a1 + a2 - a3, -a1 - a2 - a3, -a1 + a2 + a3]
     )
-    return _MAGIC @ np.diag(np.exp(0.5j * d)) @ dagger(_MAGIC)
+    return _MAGIC @ np.diag(np.exp(0.5j * d)) @ _MAGIC_DAG
 
 
 def _magic_phases_to_a(d: np.ndarray):
@@ -82,7 +82,7 @@ def _magic_frame(u: np.ndarray) -> np.ndarray:
     """The SU(4)-normalized gate in the magic basis."""
     u = np.asarray(u, dtype=complex)
     v = u * np.linalg.det(u) ** (-0.25)
-    return dagger(_MAGIC) @ v @ _MAGIC
+    return _MAGIC_DAG @ v @ _MAGIC
 
 
 # ---------------------------------------------------------------------------
@@ -173,16 +173,17 @@ def weyl_orbit(raw) -> list:
 # KAK decomposition
 # ---------------------------------------------------------------------------
 
-# Single-qubit Clifford conjugators implementing coordinate transpositions:
-# (c x c) core(a) (c x c)^dag permutes the corresponding Pauli axes.
+# The canonicalization moves as det-1 single-qubit gates (i times a
+# Hermitian one).  Swap of axes (i, j): (c x c) core(a) (c x c)^dag
+# permutes the Pauli axes i and j.
 _C_SWAP = {
-    (0, 1): (SX + SY) / np.sqrt(2),  # X<->Y
-    (0, 2): (SX + SZ) / np.sqrt(2),  # X<->Z (Hadamard)
-    (1, 2): (SY + SZ) / np.sqrt(2),  # Y<->Z
+    (0, 1): 1j * (SX + SY) / np.sqrt(2),  # X<->Y
+    (1, 2): 1j * (SY + SZ) / np.sqrt(2),  # Y<->Z
 }
-# Third Pauli axis for a pairwise sign flip of axes (i, j).
-_FLIP_AXIS = {(0, 1): SZ, (0, 2): SY, (1, 2): SX}
-_AXIS_PAULI = (SX, SY, SZ)
+# Pairwise sign flip of axes (i, j): conjugation by the third Pauli axis.
+_FLIP_AXIS = {(0, 1): 1j * SZ, (0, 2): 1j * SY}
+# Shift of axis i by an odd multiple of pi: the Pauli of that axis.
+_SHIFT_AXIS = (1j * SX, 1j * SY, 1j * SZ)
 
 
 @dataclass
@@ -206,23 +207,17 @@ class KakDecomposition:
 
 
 def _factor_local(k: np.ndarray):
-    """Split a tensor-product unitary into (a, b, phase) with det a = det b = 1."""
+    """Split k = e^{i phase} (a x b) with det a = det b = 1.
+
+    The phase is that of the overlap tr((a x b)^dag k) = 4 e^{i phase}.
+    """
     f = k.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
     u, s, vh = np.linalg.svd(f)
     if s[1] > 1e-7:
         raise ValueError(f"matrix is not a tensor product (s1 = {s[1]:.2e})")
-    a = (u[:, 0] * np.sqrt(s[0])).reshape(2, 2)
-    b = (vh[0, :] * np.sqrt(s[0])).reshape(2, 2)
-    alpha = np.sqrt(np.linalg.det(a) + 0j)
-    beta = np.sqrt(np.linalg.det(b) + 0j)
-    a = a / alpha
-    b = b / beta
-    phase = cmath.phase(alpha * beta)
-    # Fix the residual sign so a x b reproduces k exactly.
-    if frob(cmath.exp(1j * phase) * kron(a, b) - k) > frob(
-        cmath.exp(1j * (phase + math.pi)) * kron(a, b) - k
-    ):
-        phase += math.pi
+    a, b = u[:, 0].reshape(2, 2), vh[0, :].reshape(2, 2)
+    a, b = a / cmath.sqrt(np.linalg.det(a)), b / cmath.sqrt(np.linalg.det(b))
+    phase = cmath.phase(np.trace(dagger(kron(a, b)) @ k))
     return a, b, phase
 
 
@@ -245,46 +240,44 @@ def _magic_kak_raw(u: np.ndarray):
     if frob(left.imag) > 1e-6:
         raise ValueError("KAK factor failed to be real orthogonal")
     left = left.real
-    k1 = _MAGIC @ left @ dagger(_MAGIC)
-    k2 = _MAGIC @ p.T @ dagger(_MAGIC)
+    k1 = _MAGIC @ left @ _MAGIC_DAG
+    k2 = _MAGIC @ p.T @ _MAGIC_DAG
     a0, a_raw = _magic_phases_to_a(half)
     phase = a0 + cmath.phase(np.linalg.det(np.asarray(u, dtype=complex)) ** 0.25)
     return k1, a_raw, k2, phase
 
 
 def kak_decompose(u: np.ndarray) -> KakDecomposition:
-    """Cartan decomposition with the core coordinates in the Weyl chamber."""
+    """Cartan decomposition with the core coordinates in the Weyl chamber.
+
+    The raw local factors are split into det-1 2x2 gates once, and the
+    canonicalization moves are replayed on those as det-1 gates.
+    """
     u = np.asarray(u, dtype=complex)
     if not is_unitary(u, 1e-8):
         raise ValueError("kak_decompose requires a unitary input")
     k1, a_raw, k2, phase = _magic_kak_raw(u)
-    a, moves = _canonical_moves(a_raw)
-    # Replay the canonicalization moves on the local factors.
-    for move in moves:
-        kind = move[0]
-        if kind == "shift":
-            _, i, n = move
-            # core(a_old) = core(a_new) (i sigma x sigma)^{-n} up to phase
-            s = _AXIS_PAULI[i]
-            g = kron(s, s)
-            if n % 2 == 1 or n % 2 == -1:
-                k2 = g @ k2
-            phase += -n * math.pi / 2
-        elif kind == "swap":
-            _, i, j = move
-            c = _C_SWAP[(min(i, j), max(i, j))]
-            g = kron(c, c)
-            k1 = k1 @ g
-            k2 = dagger(g) @ k2
-        elif kind == "flip":
-            _, i, j = move
-            s = _FLIP_AXIS[(min(i, j), max(i, j))]
-            g = kron(s, I2)
-            k1 = k1 @ g
-            k2 = g @ k2
     v1, v2, p1 = _factor_local(k1)
     v3, v4, p2 = _factor_local(k2)
-    phase = float((phase + p1 + p2) % (2 * math.pi))
+    phase += p1 + p2
+    a, moves = _canonical_moves(a_raw)
+    for kind, i, j in moves:
+        if kind == "shift":
+            # a_i += j pi: core(a_old) = core(a_new) (-i sigma x sigma)^j,
+            # and sigma x sigma = -(i sigma) x (i sigma)
+            if j % 2:
+                s = _SHIFT_AXIS[i]
+                v3, v4, phase = s @ v3, s @ v4, phase + math.pi
+            phase -= j * math.pi / 2
+        elif kind == "swap":
+            # the signs -1 of c x c and of its inverse cancel
+            c = _C_SWAP[i, j]
+            v1, v2, v3, v4 = v1 @ c, v2 @ c, dagger(c) @ v3, dagger(c) @ v4
+        else:
+            # flip: sigma x I = -i (i sigma x I), on both sides
+            s = _FLIP_AXIS[i, j]
+            v1, v3, phase = v1 @ s, s @ v3, phase + math.pi
+    phase = float(phase % (2 * math.pi))
     dec = KakDecomposition(v1, v2, v3, v4, a, phase)
     resid = phase_distance(dec.reconstruct(), u)
     if resid > 1e-8:

@@ -77,6 +77,29 @@ def test_non_finite_angle_exit_two(capsys, monkeypatch, argv, spec):
     assert "finite" in err
 
 
+_YB_MU_800 = {"yb": {"family": "I", "kind": 1, "mu": 800, "phi": [0.1, 0.2, 0.3]}}
+
+
+@pytest.mark.parametrize(
+    "argv, spec",
+    [
+        (("analyze", "-"), _YB_MU_800),
+        (("synth", "-"), {"yb": {"family": "III", "kind": 1, "mu": 800, "phi": [0.1, 0.2]}}),
+        (("sweep", "--family", "I", "--kind", "1", "--phi-grid", "0.3", "--mu-grid", "800"), None),
+        (("analyze", "--mu", "800", "-"),
+         {"yb": {"family": "I", "kind": 1, "mu": 0.3, "phi": [0.1, 0.2, 0.3]}}),
+    ],
+)
+def test_overflowing_spectral_parameter_exit_two(capsys, monkeypatch, argv, spec):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(spec)))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_parse_grid():
     assert cli.parse_grid("0,pi/2") == [0.0, PI / 2]
     lin = cli.parse_grid("lin:0:pi:5")

@@ -46,6 +46,10 @@ def test_kron_dimension_guard():
     with pytest.raises(ValueError):
         kron(np.eye(4), np.eye(4))
     assert kron(I2, I2).shape == (4, 4)
+    for da, db in ((2, 2), (4, 2)):
+        a = RNG.standard_normal((da, da)) + 1j * RNG.standard_normal((da, da))
+        b = RNG.standard_normal((db, db)) + 1j * RNG.standard_normal((db, db))
+        assert frob(kron(a, b) - np.kron(a, b)) == 0.0
 
 
 def test_unitarity_residual():

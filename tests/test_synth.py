@@ -10,13 +10,12 @@ from scipy.stats import unitary_group
 
 from ybgates.baxterize import YbSpec, build_yb
 from ybgates.braid import BraidSpec, build_braid
-from ybgates.linalg import SZ, frob, kron, phase_distance
+from ybgates.linalg import I2, SZ, frob, kron, phase_distance
 from ybgates.synth import (
     _TEMPLATE_FRAMES,
     Circuit,
     GateOp,
     _core_template,
-    cnot_matrix,
     euler_zxz,
     evaluate,
     rx_matrix,
@@ -42,8 +41,36 @@ def test_evaluate_empty_and_involution():
 
 def test_evaluate_cnot():
     assert frob(evaluate(Circuit([GateOp("CNOT", (0, 1))])) - CNOT) == 0.0
-    # reversed orientation differs
-    assert frob(cnot_matrix(1, 0) - CNOT) > 1.0
+    # reversed orientation: control qubit 1 flips qubit 0, |01> <-> |11>
+    reversed_cnot = np.array(
+        [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
+    )
+    assert frob(GateOp("CNOT", (1, 0)).matrix() - reversed_cnot) == 0.0
+
+
+_GATES_2X2 = {
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
+    "S": np.diag([1, 1j]),
+    "SDG": np.diag([1, -1j]),
+    "T": np.diag([1, cmath.exp(0.25j * PI)]),
+    "TDG": np.diag([1, cmath.exp(-0.25j * PI)]),
+}
+
+
+def test_op_table():
+    """Each op is the kron of its 2x2 gate, qubit 0 left; fixed ops are read-only."""
+    for kind, g in _GATES_2X2.items():
+        for q, expected in ((0, np.kron(g, I2)), (1, np.kron(I2, g))):
+            m = GateOp(kind, (q,)).matrix()
+            assert frob(m - expected) < 1e-15, (kind, q)
+            with pytest.raises(ValueError):
+                m[0, 0] = 2.0
+    for theta in (0.0, 0.3, -2.9, PI):
+        assert frob(GateOp("RZ", (0,), theta).matrix() - kron(rz_matrix(theta), I2)) < 1e-15
+        assert frob(GateOp("RZ", (1,), theta).matrix() - kron(I2, rz_matrix(theta))) < 1e-15
+    for qubits in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError):
+            GateOp("CNOT", qubits).matrix()[0, 0] = 0.0
 
 
 def test_evaluate_application_order():

@@ -1,10 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
+from ybgates import weyl
 from ybgates.linalg import SX, SY, SZ, frob, kron, unitarity_residual
 from ybgates.weyl import (
     CNOT,
@@ -95,6 +99,61 @@ def test_kak_roundtrip_random():
         assert in_chamber(k.a)
         for v in (k.v1, k.v2, k.v3, k.v4):
             assert unitarity_residual(v) < 1e-9
+            assert abs(np.linalg.det(v) - 1) <= 1e-9
+
+
+# Raw points whose canonicalization needs, between them, every move:
+# odd and even shifts, all swaps, and the flips (0, 1) and (0, 2).
+_REPLAY_EXAMPLES = [
+    (-5.0, 0.4, 0.0),
+    (2.0, 0.3, 0.0),
+    (2.5, 2.0, 0.4),
+    (0.2, 0.9, 1.4),
+    (-2 * PI, 2 * PI, PI),
+]
+
+
+def test_replay_examples_cover_every_move():
+    moves = set()
+    for raw in _REPLAY_EXAMPLES:
+        for kind, i, n in weyl._canonical_moves(raw)[1]:
+            moves.add((kind, i, n) if kind != "shift" else (kind, n % 2))
+    assert moves >= {
+        ("shift", 0), ("shift", 1), ("swap", 0, 1), ("swap", 1, 2), ("flip", 0, 1), ("flip", 0, 2)
+    }
+
+
+def _check_kak(k, u, a):
+    assert frob(k.reconstruct() - u) <= 1e-8
+    assert in_chamber(k.a)
+    assert np.max(np.abs(k.a - a)) <= 1e-9
+    for v in (k.v1, k.v2, k.v3, k.v4):
+        assert abs(np.linalg.det(v) - 1) <= 1e-9
+
+
+raw_angle = st.one_of(
+    st.floats(-2 * PI, 2 * PI), st.sampled_from([0.0, PI / 2, -PI / 2, PI, -PI, 2 * PI, -2 * PI])
+)
+seeds = st.integers(0, 2**32 - 1)
+
+
+@given(st.tuples(raw_angle, raw_angle, raw_angle), seeds)
+@example(_REPLAY_EXAMPLES[0], 0)
+@example(_REPLAY_EXAMPLES[1], 1)
+@example(_REPLAY_EXAMPLES[2], 2)
+@example(_REPLAY_EXAMPLES[3], 3)
+@example(_REPLAY_EXAMPLES[4], 4)
+def test_kak_replay_on_local_factors(raw, seed):
+    """The moves replayed on the 2x2 factors keep U, the chamber point and det 1."""
+    rng = np.random.default_rng(seed)
+    l, r = (kron(unitary_group.rvs(2, random_state=rng), unitary_group.rvs(2, random_state=rng))
+            for _ in range(2))
+    u = l @ core_gate(raw) @ r
+    a = canonicalize(raw)
+    # the drawn raw point itself, so that every move of its canonicalization is replayed
+    with mock.patch.object(weyl, "_magic_kak_raw", lambda _: (l, np.array(raw), r, 0.0)):
+        _check_kak(kak_decompose(u), u, a)
+    _check_kak(kak_decompose(u), u, a)
 
 
 def test_kak_roundtrip_degenerate_landmarks():
