@@ -25,6 +25,12 @@ class YbSpec:
     family IV carries chi (with x = tan(pi/4 - chi)) and a single kind.
     For family I the braid parameters are (phi1, phi2, phi3) with
     phi4 = phi1 implied (three distinct eigenvalues).
+
+    A batch spec holds numpy arrays in `spectral` and `phi`; they are
+    broadcast to one shape (...), and scalar entries become arrays of that
+    shape. Only the closed forms `yb_nonlocal_closed` and `yb_ep` take a
+    batch spec; `build_yb`, `ybe_residual` and the other gate builders stay
+    scalar-only.
     """
 
     family: str
@@ -40,8 +46,14 @@ class YbSpec:
                 raise ValueError("family IV has a single kind")
         elif self.kind not in (1, 2, 3):
             raise ValueError(f"kind must be 1, 2 or 3, got {self.kind}")
-        object.__setattr__(self, "phi", tuple(float(p) for p in self.phi))
-        object.__setattr__(self, "spectral", float(self.spectral))
+        params = [
+            np.asarray(v, dtype=float) if isinstance(v, np.ndarray) else float(v)
+            for v in (self.spectral, *self.phi)
+        ]
+        if any(isinstance(v, np.ndarray) for v in params):
+            params = np.broadcast_arrays(*params)
+        object.__setattr__(self, "spectral", params[0])
+        object.__setattr__(self, "phi", tuple(params[1:]))
         want = _YB_PARAM_COUNT[self.family]
         if len(self.phi) != want:
             raise ValueError(
@@ -202,7 +214,7 @@ def x_to_chi(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 def build_yb(spec: YbSpec) -> np.ndarray:
-    """Closed-form unitary matrix of the Yang-Baxter gate."""
+    """Closed-form unitary matrix of the Yang-Baxter gate (scalar specs only)."""
     fam, kind = spec.family, spec.kind
     if fam == "IV":
         chi = spec.chi
@@ -336,6 +348,7 @@ def ybe_residual(spec: YbSpec, mu: float, nu: float) -> float:
     The equation is checked multiplicatively with x = e^mu, y = e^nu and
     xy = e^{mu+nu}; since each gate is normalized to its unitary
     representative, the residual is measured modulo one global scale.
+    Scalar specs only.
     """
     x, y = math.exp(mu), math.exp(nu)
     rx = _gate_at_x(spec, x)
@@ -364,76 +377,81 @@ def braid_limit_residual(spec: YbSpec, mu_large: float) -> float:
 # Closed-form nonlocal parameters and entangling power
 # ---------------------------------------------------------------------------
 
-def _clamped_arccos(v: float) -> float:
-    return math.acos(min(1.0, max(-1.0, v)))
+def _clamped_arccos(v):
+    return np.arccos(np.clip(v, -1.0, 1.0))
 
 
-def _face_point(phi: float, mu: float):
+def _arg_ratio(num, den):
+    """arg(num / den), or 0 where num or den is below 1e-300 in modulus."""
+    tiny = (np.abs(num) < 1e-300) | (np.abs(den) < 1e-300)
+    return np.where(tiny, 0.0, np.angle(np.where(tiny, 1.0, num) / np.where(tiny, 1.0, den)))
+
+
+def _triples(a1, a2, a3) -> np.ndarray:
+    """Stack broadcast coordinate arrays into (..., 3) points."""
+    return np.stack(np.broadcast_arrays(a1, a2, a3), axis=-1)
+
+
+def _face_point(phi, mu) -> np.ndarray:
     """(a, a, c) coordinates of the kind-1 gates on the tetrahedron faces."""
-    den = math.cosh(2 * mu) - math.cos(2 * phi)
-    if abs(den) < 1e-14:
-        return np.zeros(3)
-    a = _clamped_arccos(math.sqrt(min(1.0, max(0.0, (1 - math.cos(2 * phi)) / den))))
-    num = cmath.sin(phi + 1j * mu)
-    dnm = cmath.sin(phi - 1j * mu)
-    if abs(num) < 1e-300 or abs(dnm) < 1e-300:
-        c = 0.0
-    else:
-        c = (0.5j * cmath.log(num / dnm)).real
-    return np.array([a, a, c])
+    cos2 = np.cos(2 * phi)
+    den = np.cosh(2 * mu) - cos2
+    flat = np.abs(den) < 1e-14
+    ratio = (1 - cos2) / np.where(flat, 1.0, den)
+    a = np.where(flat, 0.0, _clamped_arccos(np.sqrt(np.clip(ratio, 0.0, 1.0))))
+    c = -0.5 * _arg_ratio(np.sin(phi + 1j * mu), np.sin(phi - 1j * mu))
+    return _triples(a, a, np.where(flat, 0.0, c))
 
 
-def yb_nonlocal_closed(spec: YbSpec) -> np.ndarray:
-    """Closed-form canonical chamber point of the Yang-Baxter gate."""
+def _raw_point(spec: YbSpec) -> np.ndarray:
+    """Closed-form chamber point of the gate, before canonicalization."""
     fam, kind = spec.family, spec.kind
-    pi = math.pi
+    half_pi = math.pi / 2
     if fam == "IV":
-        return canonicalize((2 * spec.chi, 0.0, 0.0))
+        return _triples(2 * spec.chi, 0.0, 0.0)
     mu = spec.mu
     if fam in ("I", "II"):
         phi, _ = spec.phase_params()
         if kind == 1:
-            raw = _face_point(phi, mu)
-        elif kind == 2:
-            num = cmath.sin(0.5 * (phi - 1j * mu))
-            den = cmath.sin(0.5 * (phi + 1j * mu))
-            t = 0.0 if abs(num) < 1e-300 or abs(den) < 1e-300 else (
-                (cmath.log(num / den) / 1j).real
-            )
-            raw = np.array([pi / 2, pi / 2, pi / 2 - t])
+            return _face_point(phi, mu)
+        z = 0.5 * (phi + 1j * mu)
+        if kind == 2:
+            t = _arg_ratio(np.sin(np.conj(z)), np.sin(z))
         else:
-            num = cmath.cos(0.5 * (phi + 1j * mu))
-            den = cmath.cos(0.5 * (phi - 1j * mu))
-            t = (cmath.log(num / den) / 1j).real
-            raw = np.array([pi / 2, pi / 2, pi / 2 - t])
-        return canonicalize(raw)
+            t = _arg_ratio(np.cos(z), np.cos(np.conj(z)))
+        return _triples(half_pi, half_pi, half_pi - t)
     # family III
     p1 = spec.phi[0]
     if kind == 1:
-        raw = _face_point(2 * p1, 2 * mu)
-    elif kind == 2:
-        d = math.sqrt(
-            math.sinh(mu) ** 2 * math.cos(p1) ** 2
-            + math.cosh(mu) ** 2 * math.sin(p1) ** 2
-        )
-        if d < 1e-14:
-            raise ValueError("singular parameters for family III kind-2 point")
-        t = _clamped_arccos(math.sinh(mu) * math.cos(p1) / d)
-        raw = np.array([pi / 2, pi / 2, pi / 2 - 2 * t])
-    else:
-        d = math.sqrt(
-            math.cosh(mu) ** 2 * math.cos(p1) ** 2
-            + math.sinh(mu) ** 2 * math.sin(p1) ** 2
-        )
-        if d < 1e-14:
-            raise ValueError("singular parameters for family III kind-3 point")
-        t = _clamped_arccos(math.cosh(mu) * math.cos(p1) / d)
-        raw = np.array([pi / 2, pi / 2, pi / 2 - 2 * t])
-    return canonicalize(raw)
+        return _face_point(2 * p1, 2 * mu)
+    sh, ch = np.sinh(mu), np.cosh(mu)
+    x, y = (sh, ch) if kind == 2 else (ch, sh)
+    d = np.sqrt(x**2 * np.cos(p1) ** 2 + y**2 * np.sin(p1) ** 2)
+    if np.any(d < 1e-14):
+        raise ValueError(f"singular parameters for family III kind-{kind} point")
+    t = _clamped_arccos(x * np.cos(p1) / d)
+    return _triples(half_pi, half_pi, half_pi - 2 * t)
 
 
-def yb_ep(spec: YbSpec) -> float:
-    """Closed-form entangling power of the Yang-Baxter gate."""
+@np.errstate(over="raise", divide="raise", invalid="raise")
+def yb_nonlocal_closed(spec: YbSpec) -> np.ndarray:
+    """Closed-form canonical chamber point of the Yang-Baxter gate.
+
+    Shape (3,) for a scalar spec, (..., 3) for a batch spec of shape (...).
+    Overflow, division by zero and invalid values raise FloatingPointError
+    rather than leaving inf or nan in the result, and one singular point
+    raises ValueError for the whole batch.
+    """
+    return canonicalize(_raw_point(spec))
+
+
+@np.errstate(over="raise", divide="raise", invalid="raise")
+def yb_ep(spec: YbSpec):
+    """Closed-form entangling power of the Yang-Baxter gate.
+
+    A float for a scalar spec, an array of shape (...) for a batch spec;
+    errors as for `yb_nonlocal_closed`.
+    """
     if spec.family == "IV":
-        return (2 / 9) * math.sin(2 * spec.chi) ** 2
+        return (2 / 9) * np.sin(2 * spec.chi) ** 2
     return entangling_power_from_point(yb_nonlocal_closed(spec))

@@ -126,8 +126,13 @@ def load_spec(obj):
             spectral = parse_angle(body["chi"])
         else:
             spectral = parse_angle(body["mu"])
+        kind = body.get("kind", 1)
+        if isinstance(kind, bool) or not (
+            isinstance(kind, int) or (isinstance(kind, float) and kind.is_integer())
+        ):
+            raise ValueError(f"kind must be an integer, got {kind!r}")
         spec = baxterize.YbSpec(
-            family, int(body.get("kind", 1)), spectral, [parse_angle(p) for p in body["phi"]]
+            family, int(kind), spectral, [parse_angle(p) for p in body["phi"]]
         )
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"bad yb spec: {e}")
@@ -284,8 +289,8 @@ def parse_grid(text: str) -> list:
     return [parse_angle(v) for v in text.split(",")]
 
 
-def _sweep_spec(family: str, kind: int, phi: float, mu: float) -> baxterize.YbSpec:
-    """One-parameter slice per family: phi is the scalar braid angle."""
+def _sweep_spec(family: str, kind: int, phi, mu) -> baxterize.YbSpec:
+    """One-parameter slice per family: phi is the one swept braid angle."""
     if family in ("I", "II"):
         # phi1 = 0, phi2 = phi3 = phi: phase parameter phi, omega = 0
         return baxterize.YbSpec(family, kind, mu, (0.0, phi, phi))
@@ -295,20 +300,16 @@ def _sweep_spec(family: str, kind: int, phi: float, mu: float) -> baxterize.YbSp
 
 
 def cmd_sweep(args) -> int:
-    phis = parse_grid(args.phi_grid)
-    mus = parse_grid(args.mu_grid)
+    phi, mu = np.meshgrid(parse_grid(args.phi_grid), parse_grid(args.mu_grid), indexing="ij")
+    # the whole grid is one batch spec; rows run over mu within each phi
+    spec = _sweep_spec(args.family, args.kind, phi, mu)
+    a = baxterize.yb_nonlocal_closed(spec)
+    ep = baxterize.yb_ep(spec)
+    # + 0.0 normalizes negative zeros out of the CSV
+    table = np.column_stack([phi.ravel(), mu.ravel(), a.reshape(-1, 3), ep.ravel()]) + 0.0
+    row = f"{args.family},{args.kind}" + ",%.17g" * 6
     rows = ["family,kind,phi,mu,a1,a2,a3,ep"]
-    for phi in phis:
-        for mu in mus:
-            spec = _sweep_spec(args.family, args.kind, phi, mu)
-            a = baxterize.yb_nonlocal_closed(spec)
-            ep = baxterize.yb_ep(spec)
-            # + 0.0 normalizes negative zeros out of the CSV
-            vals = [float(v) + 0.0 for v in (phi, mu, a[0], a[1], a[2], ep)]
-            rows.append(
-                f"{args.family},{args.kind},"
-                + ",".join(f"{v:.17g}" for v in vals)
-            )
+    rows.extend(row % tuple(vals) for vals in table.tolist())
     text = "\n".join(rows) + "\n"
     if args.out:
         with open(args.out, "w") as f:

@@ -89,19 +89,6 @@ def _magic_frame(u: np.ndarray) -> np.ndarray:
 # Weyl chamber canonicalization
 # ---------------------------------------------------------------------------
 
-def _in_chamber(a, tol: float = 1e-12) -> bool:
-    a1, a2, a3 = a
-    ok = (
-        math.pi - a2 >= a1 - tol
-        and a1 >= a2 - tol
-        and a2 >= a3 - tol
-        and a3 >= -tol
-    )
-    if ok and a3 <= CHAMBER_TOL:
-        ok = a1 <= math.pi / 2 + tol
-    return ok
-
-
 def _canonical_moves(raw):
     """Reduce a raw coordinate triple to the chamber, returning the move list.
 
@@ -145,9 +132,41 @@ def _canonical_moves(raw):
     return np.array(a), moves
 
 
+def _sort_desc(a: np.ndarray, rows) -> None:
+    """The compare-swap network of `_canonical_moves`, on the selected rows."""
+    for i, j in ((0, 1), (1, 2), (0, 1)):
+        swap = rows & (a[..., i] < a[..., j])
+        a[..., i], a[..., j] = (
+            np.where(swap, a[..., j], a[..., i]),
+            np.where(swap, a[..., i], a[..., j]),
+        )
+
+
 def canonicalize(raw) -> np.ndarray:
-    """Chamber representative of the Weyl orbit of a raw coordinate triple."""
-    a, _ = _canonical_moves(raw)
+    """Chamber representative of the Weyl orbit of raw coordinate triples.
+
+    raw has shape (3,) or (..., 3); the result has the same shape, each
+    row reduced as `_canonical_moves` reduces it, bit for bit.
+    """
+    a = np.array(raw, dtype=float)
+    if a.shape[-1:] != (3,):
+        raise ValueError(f"canonicalize takes (..., 3) coordinates, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("canonicalize requires finite coordinates")
+    pi = math.pi
+    n = np.floor(a / pi)
+    a = np.where(n != 0, a - n * pi, a)
+    _sort_desc(a, True)
+    # (a1, a2) -> (pi - a1, pi - a2) via a pairwise flip plus shifts
+    fold = a[..., 0] + a[..., 1] > pi
+    a[..., 0] = np.where(fold, -a[..., 0] + pi, a[..., 0])
+    a[..., 1] = np.where(fold, -a[..., 1] + pi, a[..., 1])
+    _sort_desc(a, fold)
+    # the a3 = 0 identification [a1, a2, 0] ~ [pi - a1, a2, 0]
+    base = (a[..., 2] <= CHAMBER_TOL) & (a[..., 0] > pi / 2)
+    a[..., 0] = np.where(base, -a[..., 0] + pi, a[..., 0])
+    a[..., 2] = np.where(base, -a[..., 2], a[..., 2])
+    _sort_desc(a, base)
     return a
 
 
@@ -315,11 +334,11 @@ def entangling_power(u: np.ndarray) -> float:
     return float(min(max(ep, 0.0), 2 / 9))
 
 
-def entangling_power_from_point(a) -> float:
-    a1, a2, a3 = (float(x) for x in a)
-    c = math.cos(a1) ** 2 * math.cos(a2) ** 2 * math.cos(a3) ** 2
-    s = math.sin(a1) ** 2 * math.sin(a2) ** 2 * math.sin(a3) ** 2
-    return (2 / 9) * (1 - (c + s))
+def entangling_power_from_point(a):
+    """Entangling power of the core gate at chamber points of shape (..., 3)."""
+    a = np.asarray(a, dtype=float)
+    c, s = np.cos(a) ** 2, np.sin(a) ** 2
+    return (2 / 9) * (1 - (c[..., 0] * c[..., 1] * c[..., 2] + s[..., 0] * s[..., 1] * s[..., 2]))
 
 
 def entangling_power_mc(u: np.ndarray, n: int, seed: int = 0) -> float:

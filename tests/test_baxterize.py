@@ -90,6 +90,52 @@ def test_ep_closed_matches_trace_formula(family, kind):
         assert yb_ep(s) == pytest.approx(entangling_power(build_yb(s)), abs=1e-9)
 
 
+def slice_spec(family, kind, phi, mu):
+    """The one-parameter slice that `ybgates sweep` evaluates."""
+    phases = {"I": (0.0, phi, phi), "II": (0.0, phi, phi), "III": (phi, 0.0), "IV": (phi,)}
+    return YbSpec(family, kind, mu, phases[family])
+
+
+def chamber_distance(a, b):
+    """Max-norm distance, with [a1, a2, 0] ~ [pi - a1, a2, 0] on the base."""
+    d = np.max(np.abs(a - b))
+    if max(a[2], b[2]) <= 1e-7:
+        d = min(d, max(abs(a[0] - (PI - b[0])), abs(a[1] - b[1]), abs(a[2] - b[2])))
+    return d
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("family,kind", ALL_GATES)
+def test_closed_forms_on_grid_match_built_gates(family, kind):
+    """Criterion 04 over a whole sweep grid, phi = 0, +-pi and mu = 0 included."""
+    phi, mu = np.meshgrid(np.linspace(-PI, PI, 17), np.linspace(-2, 2, 9), indexing="ij")
+    gates = {}
+    for i in np.ndindex(phi.shape):
+        try:
+            gates[i] = build_yb(slice_spec(family, kind, phi[i], mu[i]))
+        except ValueError:
+            pass  # the gate is singular here, so the point has no reference
+    assert len(gates) >= phi.size - 3
+    # one batch: the whole (17, 9) grid, or its regular points in a row
+    shape = phi.shape if len(gates) == phi.size else (len(gates),)
+    spec = slice_spec(family, kind, np.array([phi[i] for i in gates]).reshape(shape),
+                      np.array([mu[i] for i in gates]).reshape(shape))
+    points, eps = yb_nonlocal_closed(spec), yb_ep(spec)
+    assert points.shape == shape + (3,) and eps.shape == shape
+    for g, a, ep in zip(gates.values(), points.reshape(-1, 3), eps.ravel()):
+        assert chamber_distance(a, extract_nonlocal(g)) <= 1e-7
+        assert abs(ep - entangling_power(g)) <= 1e-7
+
+
+def test_batch_spec_shapes():
+    spec = YbSpec("III", 1, np.array([0.1, 0.2]), (np.array([[0.3], [0.4]]), 0.5))
+    assert spec.spectral.shape == spec.phi[1].shape == (2, 2)
+    assert yb_nonlocal_closed(spec).shape == (2, 2, 3)
+    assert isinstance(YbSpec("III", 1, 0.1, (0.3, 0.5)).phi[0], float)
+    with pytest.raises(ValueError):
+        YbSpec("I", 1, np.zeros(3), (0.0, np.zeros(2), 0.0))
+
+
 def test_gate_geometry_edges_and_faces():
     # kinds 2 and 3 of families I-III live on the A2A3 edge; family IV on OA1
     for family in ("I", "II", "III"):

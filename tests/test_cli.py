@@ -100,6 +100,19 @@ def test_overflowing_spectral_parameter_exit_two(capsys, monkeypatch, argv, spec
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("kind, code", [(2, 0), (2.0, 0), (2.9, 2), (True, 2), ("2.5", 2)])
+def test_yb_kind_must_be_an_integer(capsys, monkeypatch, kind, code):
+    import io
+
+    spec = {"yb": {"family": "I", "kind": kind, "mu": 0.4, "phi": [0.1, 0.2, 0.3]}}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(spec)))
+    got, out, err = run(capsys, "synth", "-")
+    assert got == code
+    if code:
+        assert out == ""
+        assert err.startswith("error: bad yb spec: ") and err.count("\n") == 1
+
+
 def test_parse_grid():
     assert cli.parse_grid("0,pi/2") == [0.0, PI / 2]
     lin = cli.parse_grid("lin:0:pi:5")
@@ -295,6 +308,34 @@ def test_sweep_row_order_and_digits(tmp_path, capsys):
     # 17 significant digits round-trip
     for r in rows:
         assert float(r[3]) in (0.1, 0.2)
+
+
+@pytest.mark.parametrize("kind, phi", [(2, "0"), (3, "pi/2")])
+def test_sweep_singular_point_aborts_csv(capsys, kind, phi):
+    code, out, err = run(
+        capsys, "sweep", "--family", "III", "--kind", str(kind),
+        "--phi-grid", f"0.3,{phi}", "--mu-grid", "0.5,0",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert f"singular parameters for family III kind-{kind} point" in err
+
+
+def test_sweep_flat_face_point_warns_nothing(capsys):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            capsys, "sweep", "--family", "I", "--kind", "1",
+            "--phi-grid", "lin:-pi:pi:17", "--mu-grid", "lin:-2:2:9",
+        )
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 17 * 9
+    # the grid's (phi, mu) = (0, 0) point is the identity, the flat face point O
+    assert rows[8 * 9 + 4][2:] == ["0", "0", "0", "0", "0", "0"]
 
 
 def test_sweep_empty_grid(tmp_path, capsys):

@@ -77,6 +77,58 @@ def test_canonicalize_constant_on_orbit():
             assert np.allclose(canonicalize(img), base, atol=1e-9)
 
 
+def _bits(a):
+    """The IEEE bit patterns, so that equality also sees the sign of zero."""
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+chamber_raw = st.tuples(*[st.floats(-4 * PI, 4 * PI)] * 3)
+# Points on the branches of the reduction: exact multiples of pi (the
+# shifts), a1 + a2 > pi (the pairwise fold) and a3 = 0 with a1 > pi/2
+# (the base identification), plus signed zeros.
+_BRANCH_POINTS = [
+    (PI, -2 * PI, 4 * PI),
+    (-3 * PI, 0.0, PI),
+    (2.5, 2.0, 0.4),
+    (-1.0, 3.0, 7.0),
+    (2.0, 0.3, 0.0),
+    (PI / 2 + 1e-9, 0.2, 0.0),
+    (-0.0, 0.0, -0.0),
+]
+
+
+@given(chamber_raw)
+@example(_BRANCH_POINTS[0])
+@example(_BRANCH_POINTS[1])
+@example(_BRANCH_POINTS[2])
+@example(_BRANCH_POINTS[3])
+@example(_BRANCH_POINTS[4])
+@example(_BRANCH_POINTS[5])
+@example(_BRANCH_POINTS[6])
+def test_canonicalize_matches_move_reduction(raw):
+    """The array reduction equals the move-list reduction bit for bit."""
+    assert np.array_equal(_bits(canonicalize(raw)), _bits(weyl._canonical_moves(raw)[0]))
+
+
+@given(st.lists(chamber_raw, min_size=1, max_size=12))
+@example(_BRANCH_POINTS)
+def test_canonicalize_rows_match_single_points(rows):
+    """Each row of a stacked call equals the call on that row alone."""
+    stack = np.array(rows)
+    out = canonicalize(stack)
+    ep = entangling_power_from_point(out)
+    assert out.shape == stack.shape and ep.shape == stack.shape[:1]
+    for i, raw in enumerate(stack):
+        assert np.array_equal(_bits(out[i]), _bits(canonicalize(raw)))
+        assert _bits(ep[i]) == _bits(entangling_power_from_point(out[i]))
+
+
+def test_canonicalize_rejects_bad_input():
+    for raw in ((0.1, 0.2), (0.1, np.nan, 0.3), (np.inf, 0.0, 0.0)):
+        with pytest.raises(ValueError):
+            canonicalize(raw)
+
+
 def test_canonicalize_matches_core_gate_equivalence():
     for _ in range(25):
         raw = RNG.uniform(-4, 4, 3)
