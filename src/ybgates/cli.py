@@ -304,7 +304,9 @@ def cmd_sweep(args) -> int:
     # the whole grid is one batch spec; rows run over mu within each phi
     spec = _sweep_spec(args.family, args.kind, phi, mu)
     a = baxterize.yb_nonlocal_closed(spec)
-    ep = baxterize.yb_ep(spec)
+    # the ep of the point at hand; for family IV it equals yb_ep's
+    # (2/9) sin^2(2 chi) up to rounding
+    ep = weyl.entangling_power_from_point(a)
     # + 0.0 normalizes negative zeros out of the CSV
     table = np.column_stack([phi.ravel(), mu.ravel(), a.reshape(-1, 3), ep.ravel()]) + 0.0
     row = f"{args.family},{args.kind}" + ",%.17g" * 6

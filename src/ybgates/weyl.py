@@ -146,13 +146,17 @@ def canonicalize(raw) -> np.ndarray:
     """Chamber representative of the Weyl orbit of raw coordinate triples.
 
     raw has shape (3,) or (..., 3); the result has the same shape, each
-    row reduced as `_canonical_moves` reduces it, bit for bit.
+    row reduced as `_canonical_moves` reduces it, bit for bit.  A single
+    triple goes through `_canonical_moves` itself, which on Python floats
+    is faster than the array code on 0-d views.
     """
     a = np.array(raw, dtype=float)
     if a.shape[-1:] != (3,):
         raise ValueError(f"canonicalize takes (..., 3) coordinates, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("canonicalize requires finite coordinates")
+    if a.shape == (3,):
+        return _canonical_moves(a.tolist())[0]
     pi = math.pi
     n = np.floor(a / pi)
     a = np.where(n != 0, a - n * pi, a)
@@ -342,19 +346,32 @@ def entangling_power_from_point(a):
 
 
 def entangling_power_mc(u: np.ndarray, n: int, seed: int = 0) -> float:
-    """Monte-Carlo estimate of the average output linear entropy."""
+    """Monte-Carlo estimate of the average output linear entropy.
+
+    Each of the n samples is psi = u (a x b) for Haar product states drawn
+    as complex Gaussian pairs a, b.  The reduced state rho = M M^dag of the
+    2x2 reshape M of psi has purity tr rho^2 = (tr rho)^2 - 2 det rho with
+    tr rho = |psi|^2 and det rho = |psi00 psi11 - psi01 psi10|^2, an
+    identity of any 2x2 Hermitian matrix, so no rho is formed.  The purity
+    scales as (|a|^2 |b|^2)^2 and is divided by it in place of normalizing
+    a and b.  The draws are those of the earlier density-matrix estimator
+    (real parts, then imaginary parts), so a seed gives its value up to
+    rounding.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     u = np.asarray(u, dtype=complex)
     rng = np.random.default_rng(seed)
     n = int(n)
-    z = rng.standard_normal((2, n, 2)) + 1j * rng.standard_normal((2, n, 2))
-    z /= np.linalg.norm(z, axis=2, keepdims=True)
+    x = rng.standard_normal((2, 2, n, 2))
+    z = x[0] + 1j * x[1]
     psi = np.einsum("ni,nj->nij", z[0], z[1]).reshape(n, 4) @ u.T
-    m = psi.reshape(n, 2, 2)
-    rho = m @ np.conj(m).transpose(0, 2, 1)
-    purity = np.einsum("nij,nji->n", rho, rho).real
-    return float(np.mean(1.0 - purity))
+    p = psi.view(float)
+    zr = z.view(float)
+    norm2 = np.einsum("inj,inj->in", zr, zr)
+    det = psi[:, 0] * psi[:, 3] - psi[:, 1] * psi[:, 2]
+    purity = np.einsum("ni,ni->n", p, p) ** 2 - 2 * np.abs(det) ** 2
+    return float(np.mean(1.0 - purity / (norm2[0] * norm2[1]) ** 2))
 
 
 def min_cnot_count(a, tol: float = CHAMBER_TOL) -> int:

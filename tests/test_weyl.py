@@ -106,8 +106,14 @@ _BRANCH_POINTS = [
 @example(_BRANCH_POINTS[5])
 @example(_BRANCH_POINTS[6])
 def test_canonicalize_matches_move_reduction(raw):
-    """The array reduction equals the move-list reduction bit for bit."""
-    assert np.array_equal(_bits(canonicalize(raw)), _bits(weyl._canonical_moves(raw)[0]))
+    """The array reduction equals the move-list reduction bit for bit.
+
+    A single triple is reduced by `_canonical_moves` itself, so the array
+    code is checked on the same triple stacked as a (1, 3) batch.
+    """
+    want = _bits(weyl._canonical_moves(raw)[0])
+    assert np.array_equal(_bits(canonicalize(raw)), want)
+    assert np.array_equal(_bits(canonicalize([raw])[0]), want)
 
 
 @given(st.lists(chamber_raw, min_size=1, max_size=12))
@@ -256,6 +262,32 @@ def test_entangling_power_mc_deterministic():
     u = unitary_group.rvs(4, random_state=RNG)
     assert entangling_power_mc(u, 1000, seed=9) == entangling_power_mc(u, 1000, seed=9)
     assert entangling_power_mc(u, 1000, seed=9) != entangling_power_mc(u, 1000, seed=10)
+
+
+def _density_matrix_mc(u, n, seed):
+    """Reference estimator: unit product states, rho = M M^dag, tr rho^2."""
+    u = np.asarray(u, dtype=complex)
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((2, n, 2)) + 1j * rng.standard_normal((2, n, 2))
+    z /= np.linalg.norm(z, axis=2, keepdims=True)
+    psi = np.einsum("ni,nj->nij", z[0], z[1]).reshape(n, 4) @ u.T
+    m = psi.reshape(n, 2, 2)
+    rho = m @ np.conj(m).transpose(0, 2, 1)
+    purity = np.einsum("nij,nji->n", rho, rho).real
+    return float(np.mean(1.0 - purity))
+
+
+def test_entangling_power_mc_matches_density_matrix_reference():
+    """Same draws and value as the density-matrix estimator, seed for seed."""
+    rng = np.random.default_rng(31)
+    haar = [unitary_group.rvs(4, random_state=rng) for _ in range(4)]
+    # a gate off unitarity by about 1e-7, as `analyze` admits
+    near = haar[3] + 1e-7 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    for u in (CNOT, SWAP, np.eye(4), *haar[:3], near):
+        for seed in (0, 1006):
+            for n in (1, 7, 20000):
+                want = _density_matrix_mc(u, n, seed)
+                assert abs(entangling_power_mc(u, n, seed) - want) <= 1e-12, (n, seed)
 
 
 def test_min_cnot_count():

@@ -1,4 +1,4 @@
-"""One cycle of the benchmark's sweep workload passes the benchmark's own checks."""
+"""One cycle of a benchmark workload passes the benchmark's own checks."""
 
 import importlib.util
 import sys
@@ -33,3 +33,12 @@ def test_sweep_grid_cycle_fails_only_at_singular_points(monkeypatch):
     for kind, what, message in failures:
         assert kind in ("sweep III2", "sweep III3"), (kind, message)
         assert what == "exit" and "singular parameters" in message, message
+
+
+def test_analyze_mix_cycle_passes(monkeypatch):
+    """Point, ep, 5-sigma Monte Carlo bound, CNOT count and residuals all hold."""
+    workload = _load_workloads(monkeypatch).AnalyzeMix()
+    reqs = workload.cycle(np.random.default_rng([1, 0]))
+    assert len(reqs) == 20
+    failures = [(req.kind, workload.check(req, workload.call(req))) for req in reqs]
+    assert [f for f in failures if f[1] is not None] == []
