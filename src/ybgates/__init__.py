@@ -53,7 +53,6 @@ from .weyl import (
     entangling_power_mc,
     extract_nonlocal,
     kak_decompose,
-    locally_equivalent,
     min_cnot_count,
 )
 

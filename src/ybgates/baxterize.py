@@ -452,6 +452,4 @@ def yb_ep(spec: YbSpec):
     A float for a scalar spec, an array of shape (...) for a batch spec;
     errors as for `yb_nonlocal_closed`.
     """
-    if spec.family == "IV":
-        return (2 / 9) * np.sin(2 * spec.chi) ** 2
     return entangling_power_from_point(yb_nonlocal_closed(spec))

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import I2, frob, kron
-from .weyl import canonicalize
+from .weyl import canonicalize, entangling_power_from_point
 
 FAMILIES = ("I", "II", "III", "IV")
 _PARAM_COUNT = {"I": 4, "II": 3, "III": 2, "IV": 1}
@@ -129,12 +129,5 @@ def braid_nonlocal_closed(spec: BraidSpec) -> np.ndarray:
 
 
 def braid_ep_closed(spec: BraidSpec) -> float:
-    """Closed-form entangling power of the braid gate."""
-    f = spec.family
-    if f == "I":
-        return (2 / 9) * math.sin(derived_angles(spec)["phi_3"]) ** 2
-    if f == "II":
-        return (2 / 9) * math.sin(derived_angles(spec)["phi_2"]) ** 2
-    if f == "III":
-        return (2 / 9) * math.sin(2 * spec.phi[0]) ** 2
-    return 2 / 9
+    """Closed-form entangling power of the braid gate, from its chamber point."""
+    return float(entangling_power_from_point(braid_nonlocal_closed(spec)))

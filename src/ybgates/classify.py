@@ -60,9 +60,13 @@ def clifford_table(u: np.ndarray):
     return table
 
 
+def _table_is_clifford(table: dict, tol: float) -> bool:
+    return all(r <= tol for _, _, r in table.values())
+
+
 def is_clifford(u: np.ndarray, tol: float = CLIFFORD_TOL) -> bool:
     """True iff U maps every Pauli generator to a signed Pauli string."""
-    return all(r <= tol for _, _, r in clifford_table(u).values())
+    return _table_is_clifford(clifford_table(u), tol)
 
 
 def matchgate_dets(u: np.ndarray):
@@ -86,9 +90,11 @@ def is_matchgate(u: np.ndarray, tol: float = CLIFFORD_TOL) -> bool:
     Both determinants pick up the same factor under a global phase, so
     the test is phase invariant.
     """
-    if x_shape_residual(u) > tol:
-        return False
-    outer, inner = matchgate_dets(u)
+    return x_shape_residual(u) <= tol and _dets_match(matchgate_dets(u), tol)
+
+
+def _dets_match(dets: tuple, tol: float) -> bool:
+    outer, inner = dets
     return abs(outer - inner) <= tol
 
 
@@ -226,13 +232,21 @@ class ClassificationReport:
 
 
 def classify_gate(u: np.ndarray, spec=None, tol: float = CLIFFORD_TOL) -> ClassificationReport:
-    """Full numeric classification, with symbolic predictions when a spec is given."""
+    """Full numeric classification, with symbolic predictions when a spec is given.
+
+    Each numeric quantity is computed once and the verdicts are read off
+    it, as the public predicates read them.
+    """
+    u = np.asarray(u, dtype=complex)
+    table = clifford_table(u)
+    dets = matchgate_dets(u)
+    dual = dual_unitarity_residual(u)
     return ClassificationReport(
-        is_clifford=is_clifford(u, tol),
-        clifford_table=clifford_table(u),
-        is_matchgate=is_matchgate(u, tol),
-        matchgate_dets=matchgate_dets(u),
-        is_dual_unitary=is_dual_unitary(u, tol),
-        dual_residual=dual_unitarity_residual(u),
+        is_clifford=_table_is_clifford(table, tol),
+        clifford_table=table,
+        is_matchgate=x_shape_residual(u) <= tol and _dets_match(dets, tol),
+        matchgate_dets=dets,
+        is_dual_unitary=dual <= tol,
+        dual_residual=dual,
         predicted=predict_conditions(spec) if spec is not None else None,
     )

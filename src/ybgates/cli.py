@@ -304,8 +304,7 @@ def cmd_sweep(args) -> int:
     # the whole grid is one batch spec; rows run over mu within each phi
     spec = _sweep_spec(args.family, args.kind, phi, mu)
     a = baxterize.yb_nonlocal_closed(spec)
-    # the ep of the point at hand; for family IV it equals yb_ep's
-    # (2/9) sin^2(2 chi) up to rounding
+    # yb_ep's formula, on the point at hand
     ep = weyl.entangling_power_from_point(a)
     # + 0.0 normalizes negative zeros out of the CSV
     table = np.column_stack([phi.ravel(), mu.ravel(), a.reshape(-1, 3), ep.ravel()]) + 0.0
@@ -358,10 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# built once: argparse parsers hold no state between parse_args calls
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

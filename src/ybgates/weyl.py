@@ -10,22 +10,13 @@ by taking a1 <= pi/2.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    SX,
-    SY,
-    SZ,
-    dagger,
-    frob,
-    is_unitary,
-    kron,
-    phase_distance,
-    sym_unitary_eig,
-)
+from .linalg import dagger, is_unitary, kron, phase_distance, sym_unitary_eig
 
 CHAMBER_TOL = 1e-7
 
@@ -53,29 +44,17 @@ ISWAP = np.array(
 )
 
 
-def magic_basis() -> np.ndarray:
-    """The fixed basis change making every core gate diagonal."""
-    return _MAGIC.copy()
+# Magic-basis phases of a core gate: core_gate(a) =
+# _MAGIC diag(exp(i d/2)) _MAGIC^dag with d = _PHASE_MAP a.  The columns
+# are orthogonal with norm 2, so a = (d @ _PHASE_MAP) / 4.
+_PHASE_MAP = np.array([[1, -1, 1], [1, 1, -1], [-1, -1, -1], [-1, 1, 1]], dtype=float)
 
 
 def core_gate(a) -> np.ndarray:
     """exp(i/2 (a1 XX + a2 YY + a3 ZZ)) for arbitrary finite angles."""
-    a1, a2, a3 = (float(x) for x in a)
     # The three terms commute and are diagonal in the magic basis.
-    d = np.array(
-        [a1 - a2 + a3, a1 + a2 - a3, -a1 - a2 - a3, -a1 + a2 + a3]
-    )
+    d = _PHASE_MAP @ np.array([float(x) for x in a])
     return _MAGIC @ np.diag(np.exp(0.5j * d)) @ _MAGIC_DAG
-
-
-def _magic_phases_to_a(d: np.ndarray):
-    """Invert the linear map (a0, a) -> magic-basis diagonal phases."""
-    d1, d2, d3, d4 = d
-    a0 = (d1 + d2 + d3 + d4) / 4
-    a1 = (d1 + d2 - d3 - d4) / 2
-    a2 = (-d1 + d2 - d3 + d4) / 2
-    a3 = (d1 - d2 - d3 + d4) / 2
-    return a0, np.array([a1, a2, a3])
 
 
 def _magic_frame(u: np.ndarray) -> np.ndarray:
@@ -89,51 +68,39 @@ def _magic_frame(u: np.ndarray) -> np.ndarray:
 # Weyl chamber canonicalization
 # ---------------------------------------------------------------------------
 
-def _canonical_moves(raw):
-    """Reduce a raw coordinate triple to the chamber, returning the move list.
+def _canonical_point(raw) -> np.ndarray:
+    """Reduce a raw coordinate triple to the chamber, on Python floats.
 
-    Moves are ('shift', i, n) for a_i -> a_i + n*pi, ('swap', i, j) and
-    ('flip', i, j) for pairwise sign flips; they act right-to-left on the
-    stored coordinates so a decomposition tracker can replay them.
+    Each a_i is shifted into [0, pi), the triple is sorted descending,
+    (a1, a2) -> (pi - a1, pi - a2) when a1 + a2 > pi, and
+    [a1, a2, a3] -> [pi - a1, a2, -a3] when a3 <= CHAMBER_TOL and
+    a1 > pi/2, each fold followed by a re-sort.  Every step is an exact
+    Weyl move.
     """
     a = [float(x) for x in raw]
-    moves = []
-
-    def shift_into_range(i):
-        n = math.floor(a[i] / math.pi)
-        if n != 0:
-            a[i] -= n * math.pi
-            moves.append(("shift", i, -n))
+    pi = math.pi
 
     def sort_desc():
         for i, j in ((0, 1), (1, 2), (0, 1)):
             if a[i] < a[j]:
                 a[i], a[j] = a[j], a[i]
-                moves.append(("swap", i, j))
 
     for i in range(3):
-        shift_into_range(i)
+        n = math.floor(a[i] / pi)
+        if n != 0:
+            a[i] -= n * pi
     sort_desc()
-    if a[0] + a[1] > math.pi:
-        # (a1, a2) -> (pi - a1, pi - a2) via a pairwise flip plus shifts
-        a[0], a[1] = -a[0], -a[1]
-        moves.append(("flip", 0, 1))
-        a[0] += math.pi
-        moves.append(("shift", 0, 1))
-        a[1] += math.pi
-        moves.append(("shift", 1, 1))
+    if a[0] + a[1] > pi:
+        a[0], a[1] = -a[0] + pi, -a[1] + pi
         sort_desc()
-    if a[2] <= CHAMBER_TOL and a[0] > math.pi / 2:
-        a[0], a[2] = -a[0], -a[2]
-        moves.append(("flip", 0, 2))
-        a[0] += math.pi
-        moves.append(("shift", 0, 1))
+    if a[2] <= CHAMBER_TOL and a[0] > pi / 2:
+        a[0], a[2] = -a[0] + pi, -a[2]
         sort_desc()
-    return np.array(a), moves
+    return np.array(a)
 
 
 def _sort_desc(a: np.ndarray, rows) -> None:
-    """The compare-swap network of `_canonical_moves`, on the selected rows."""
+    """The compare-swap network of `_canonical_point`, on the selected rows."""
     for i, j in ((0, 1), (1, 2), (0, 1)):
         swap = rows & (a[..., i] < a[..., j])
         a[..., i], a[..., j] = (
@@ -146,8 +113,8 @@ def canonicalize(raw) -> np.ndarray:
     """Chamber representative of the Weyl orbit of raw coordinate triples.
 
     raw has shape (3,) or (..., 3); the result has the same shape, each
-    row reduced as `_canonical_moves` reduces it, bit for bit.  A single
-    triple goes through `_canonical_moves` itself, which on Python floats
+    row reduced as `_canonical_point` reduces it, bit for bit.  A single
+    triple goes through `_canonical_point` itself, which on Python floats
     is faster than the array code on 0-d views.
     """
     a = np.array(raw, dtype=float)
@@ -156,7 +123,7 @@ def canonicalize(raw) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("canonicalize requires finite coordinates")
     if a.shape == (3,):
-        return _canonical_moves(a.tolist())[0]
+        return _canonical_point(a.tolist())
     pi = math.pi
     n = np.floor(a / pi)
     a = np.where(n != 0, a - n * pi, a)
@@ -174,39 +141,27 @@ def canonicalize(raw) -> np.ndarray:
     return a
 
 
-def weyl_orbit(raw) -> list:
-    """All images of a point under the 24-element Weyl group, reduced mod pi.
+def _chamber_point(angles: np.ndarray) -> np.ndarray:
+    """Chamber point of a gate from the eigenphases of m = ubar^T ubar.
 
-    Brute-force oracle: coordinate permutations x pairwise sign flips,
-    each coordinate then shifted into [0, pi).
+    Half the phases are the magic-basis phases of a core gate up to a
+    global phase, once pi is added to one of them if their sum is an odd
+    multiple of pi (det ubar = 1 makes it a multiple of pi).
     """
-    import itertools
-
-    a = np.asarray(raw, dtype=float)
-    out = []
-    for perm in itertools.permutations(range(3)):
-        p = a[list(perm)]
-        for signs in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)):
-            q = p * signs
-            out.append(np.mod(q, math.pi))
-    return out
+    half = angles / 2
+    if math.cos(half.sum()) < 0:
+        half[0] += math.pi
+    return canonicalize(half @ _PHASE_MAP / 2)
 
 
 # ---------------------------------------------------------------------------
 # KAK decomposition
 # ---------------------------------------------------------------------------
 
-# The canonicalization moves as det-1 single-qubit gates (i times a
-# Hermitian one).  Swap of axes (i, j): (c x c) core(a) (c x c)^dag
-# permutes the Pauli axes i and j.
-_C_SWAP = {
-    (0, 1): 1j * (SX + SY) / np.sqrt(2),  # X<->Y
-    (1, 2): 1j * (SY + SZ) / np.sqrt(2),  # Y<->Z
-}
-# Pairwise sign flip of axes (i, j): conjugation by the third Pauli axis.
-_FLIP_AXIS = {(0, 1): 1j * SZ, (0, 2): 1j * SY}
-# Shift of axis i by an odd multiple of pi: the Pauli of that axis.
-_SHIFT_AXIS = (1j * SX, 1j * SY, 1j * SZ)
+# The 24 column orders of the eigenbasis, and the signs s = e^{2i theta}
+# for theta = 0, pi/2.
+_PERMS = np.array(list(itertools.permutations(range(4))))
+_SIGNS = np.array([1.0, -1.0])
 
 
 @dataclass
@@ -244,62 +199,40 @@ def _factor_local(k: np.ndarray):
     return a, b, phase
 
 
-def _magic_kak_raw(u: np.ndarray):
-    """Raw magic-basis KAK: U = e^{i a0} K1 core(a_raw) K2 with K's local."""
-    ubar = _magic_frame(u)
-    m = ubar.T @ ubar
-    angles, p = sym_unitary_eig(m)
-    if np.linalg.det(p) < 0:
-        p = p.copy()
-        p[:, 0] = -p[:, 0]
-    half = angles / 2
-    d = np.exp(1j * half)
-    left = ubar @ p @ np.diag(1 / d)
-    if np.linalg.det(left).real < 0:
-        half = half.copy()
-        half[0] += math.pi
-        d = np.exp(1j * half)
-        left = ubar @ p @ np.diag(1 / d)
-    if frob(left.imag) > 1e-6:
-        raise ValueError("KAK factor failed to be real orthogonal")
-    left = left.real
-    k1 = _MAGIC @ left @ _MAGIC_DAG
-    k2 = _MAGIC @ p.T @ _MAGIC_DAG
-    a0, a_raw = _magic_phases_to_a(half)
-    phase = a0 + cmath.phase(np.linalg.det(np.asarray(u, dtype=complex)) ** 0.25)
-    return k1, a_raw, k2, phase
-
-
 def kak_decompose(u: np.ndarray) -> KakDecomposition:
     """Cartan decomposition with the core coordinates in the Weyl chamber.
 
-    The raw local factors are split into det-1 2x2 gates once, and the
-    canonicalization moves are replayed on those as det-1 gates.
+    The chamber point a comes first, from the spectrum of m = ubar^T ubar
+    alone (ubar the SU(4)-normalized gate in the magic basis; Zhang, Vala,
+    Sastry & Whaley, PRA 67, 042313, 2003), and the eigenbasis is then
+    ordered to fit it.  If ubar = c O1 D O2 with O1, O2
+    real orthogonal, c^4 = 1 and D = diag(exp(i d/2)), d = _PHASE_MAP a,
+    then m = c^2 O2^T D^2 O2: every Weyl image of the raw point gives m
+    the same eigenvalues exp(i d), permuted and up to the global sign
+    c^2 = +-1.  So some column order p of the real eigenbasis of m and
+    some theta in {0, pi/2} give exp(i angles) = e^{2i theta} exp(i d), and
+    left = ubar p diag(exp(-i (d/2 + theta))) has left^T left = 1: it is
+    real orthogonal, with det +1 once det p = +1.  Then
+    U = det(U)^{1/4} e^{i theta} (M left M^dag) core_gate(a) (M p^T M^dag)
+    with M the magic basis, and each bracket is a local gate.
     """
     u = np.asarray(u, dtype=complex)
     if not is_unitary(u, 1e-8):
         raise ValueError("kak_decompose requires a unitary input")
-    k1, a_raw, k2, phase = _magic_kak_raw(u)
-    v1, v2, p1 = _factor_local(k1)
-    v3, v4, p2 = _factor_local(k2)
-    phase += p1 + p2
-    a, moves = _canonical_moves(a_raw)
-    for kind, i, j in moves:
-        if kind == "shift":
-            # a_i += j pi: core(a_old) = core(a_new) (-i sigma x sigma)^j,
-            # and sigma x sigma = -(i sigma) x (i sigma)
-            if j % 2:
-                s = _SHIFT_AXIS[i]
-                v3, v4, phase = s @ v3, s @ v4, phase + math.pi
-            phase -= j * math.pi / 2
-        elif kind == "swap":
-            # the signs -1 of c x c and of its inverse cancel
-            c = _C_SWAP[i, j]
-            v1, v2, v3, v4 = v1 @ c, v2 @ c, dagger(c) @ v3, dagger(c) @ v4
-        else:
-            # flip: sigma x I = -i (i sigma x I), on both sides
-            s = _FLIP_AXIS[i, j]
-            v1, v3, phase = v1 @ s, s @ v3, phase + math.pi
+    ubar = _magic_frame(u)
+    angles, p = sym_unitary_eig(ubar.T @ ubar)
+    a = _chamber_point(angles)
+    d = _PHASE_MAP @ a
+    mismatch = np.exp(1j * angles)[_PERMS][:, None, :] - _SIGNS[:, None] * np.exp(1j * d)
+    k, j = np.unravel_index(np.argmin(np.abs(mismatch).max(axis=2)), mismatch.shape[:2])
+    p = p[:, _PERMS[k]]
+    if np.linalg.det(p) < 0:
+        p[:, 0] = -p[:, 0]
+    theta = j * math.pi / 2
+    left = (ubar @ p * np.exp(-1j * (d / 2 + theta))).real
+    v1, v2, p1 = _factor_local(_MAGIC @ left @ _MAGIC_DAG)
+    v3, v4, p2 = _factor_local(_MAGIC @ p.T @ _MAGIC_DAG)
+    phase = theta + cmath.phase(np.linalg.det(u) ** 0.25) + p1 + p2
     phase = float(phase % (2 * math.pi))
     dec = KakDecomposition(v1, v2, v3, v4, a, phase)
     resid = phase_distance(dec.reconstruct(), u)
@@ -309,18 +242,15 @@ def kak_decompose(u: np.ndarray) -> KakDecomposition:
 
 
 def extract_nonlocal(u: np.ndarray) -> np.ndarray:
-    """Canonical chamber coordinates of a two-qubit unitary."""
+    """Canonical chamber coordinates of a two-qubit unitary.
+
+    Only the spectrum of m = ubar^T ubar is needed (see `kak_decompose`).
+    """
     u = np.asarray(u, dtype=complex)
     if not is_unitary(u, 1e-8):
         raise ValueError("extract_nonlocal requires a unitary input")
-    _, a_raw, _, _ = _magic_kak_raw(u)
-    return canonicalize(a_raw)
-
-
-def locally_equivalent(u: np.ndarray, v: np.ndarray, tol: float = 1e-7) -> bool:
-    au = extract_nonlocal(u)
-    av = extract_nonlocal(v)
-    return bool(np.max(np.abs(au - av)) <= tol)
+    ubar = _magic_frame(u)
+    return _chamber_point(np.angle(np.linalg.eigvals(ubar.T @ ubar)))
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,28 @@ def test_classification_report():
     assert rep2.predicted is None
 
 
+def test_classification_report_computes_each_quantity_once(monkeypatch):
+    """classify_gate agrees with the public predicates, computing each of
+    the Clifford table, the matchgate determinants and the dual residual
+    once."""
+    from ybgates import classify
+
+    gates = [CNOT, SWAP, ISWAP, np.eye(4), core_gate([0.9, 0.5, 0.2])]
+    gates += [build_braid(BraidSpec("IV", (0.7,))), build_braid(BraidSpec("III", (PI / 4, 0.0)))]
+    gates += [unitary_group.rvs(4, random_state=RNG)]
+    want = [(is_clifford(u), is_matchgate(u), is_dual_unitary(u)) for u in gates]
+    calls = []
+    for name in ("clifford_table", "matchgate_dets", "dual_unitarity_residual"):
+        fn = getattr(classify, name)
+        monkeypatch.setattr(classify, name, lambda *a, _f=fn, _n=name: calls.append(_n) or _f(*a))
+    for u, verdicts in zip(gates, want):
+        calls.clear()
+        rep = classify_gate(u)
+        assert sorted(calls) == ["clifford_table", "dual_unitarity_residual", "matchgate_dets"]
+        assert (rep.is_clifford, rep.is_matchgate, rep.is_dual_unitary) == verdicts
+        assert rep.dual_residual == dual_unitarity_residual(u)
+
+
 def test_predict_rejects_unknown_spec():
     with pytest.raises(TypeError):
         predict_conditions(object())

@@ -352,3 +352,26 @@ def test_stdin_spec(capsys, monkeypatch):
     code, out, _ = run(capsys, "analyze", "-")
     assert code == 0
     assert json.loads(out)["min_cnot_count"] == 1
+
+
+def test_repeated_main_calls_share_one_parser(tmp_path, capsys, monkeypatch):
+    """In one process, main() gives the same result for the same argv every
+    time, also after a usage error, and never builds a new parser."""
+
+    def no_rebuild():
+        raise AssertionError("main() built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_rebuild)
+    spec = write_spec(tmp_path, {"braid": {"family": "III", "phi": ["pi/8", 0.3]}})
+    calls = [
+        ("analyze", "--seed", "3", "--mc-samples", "50", spec),
+        ("sweep", "--family", "II", "--kind", "2", "--phi-grid", "0,pi/3", "--mu-grid", "0.5"),
+        ("synth", spec),
+    ]
+    for argv in calls:
+        first = run(capsys, *argv)
+        assert first[0] == 0
+        bad = run(capsys, argv[0], "--no-such-flag", *argv[1:])
+        assert bad[0] == 2 and bad[1] == ""
+        again = run(capsys, *argv)
+        assert again[:2] == first[:2]

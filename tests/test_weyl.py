@@ -1,5 +1,5 @@
+import itertools
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
-from ybgates import weyl
+from ybgates import braid, weyl
 from ybgates.linalg import SX, SY, SZ, frob, kron, unitarity_residual
 from ybgates.weyl import (
     CNOT,
@@ -22,14 +22,36 @@ from ybgates.weyl import (
     entangling_power_mc,
     extract_nonlocal,
     kak_decompose,
-    locally_equivalent,
-    magic_basis,
     min_cnot_count,
-    weyl_orbit,
 )
 
 RNG = np.random.default_rng(7)
 PI = math.pi
+
+# Magic (Bell) basis columns:
+# (|00>+|11>)/sqrt2, i(|01>+|10>)/sqrt2, (|01>-|10>)/sqrt2, i(|00>-|11>)/sqrt2
+MAGIC = np.array(
+    [[1, 0, 0, 1j], [0, 1j, 1, 0], [0, 1j, -1, 0], [1, 0, 0, -1j]], dtype=complex
+) / np.sqrt(2)
+
+
+def weyl_orbit(raw) -> list:
+    """All images of a point under the 24-element Weyl group, reduced mod pi.
+
+    Brute-force oracle: coordinate permutations x pairwise sign flips,
+    each coordinate then shifted into [0, pi).
+    """
+    a = np.asarray(raw, dtype=float)
+    out = []
+    for perm in itertools.permutations(range(3)):
+        p = a[list(perm)]
+        for signs in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)):
+            out.append(np.mod(p * signs, math.pi))
+    return out
+
+
+def locally_equivalent(u, v, tol=1e-7) -> bool:
+    return bool(np.max(np.abs(extract_nonlocal(u) - extract_nonlocal(v))) <= tol)
 
 
 def in_chamber(a, tol=1e-9):
@@ -45,15 +67,13 @@ def random_local():
 
 
 def test_magic_basis_unitary():
-    q = magic_basis()
-    assert unitarity_residual(q) < 1e-15
+    assert unitarity_residual(MAGIC) < 1e-15
 
 
 def test_core_gate_is_magic_diagonal():
-    q = magic_basis()
     for _ in range(10):
         a = RNG.uniform(0, PI, 3)
-        d = q.conj().T @ core_gate(a) @ q
+        d = MAGIC.conj().T @ core_gate(a) @ MAGIC
         assert frob(d - np.diag(np.diag(d))) < 1e-12
     # oracle: core_gate(a) = expm(i/2 (a1 XX + a2 YY + a3 ZZ)) for any angles
     for _ in range(40):
@@ -106,12 +126,12 @@ _BRANCH_POINTS = [
 @example(_BRANCH_POINTS[5])
 @example(_BRANCH_POINTS[6])
 def test_canonicalize_matches_move_reduction(raw):
-    """The array reduction equals the move-list reduction bit for bit.
+    """The array reduction equals the scalar reduction bit for bit.
 
-    A single triple is reduced by `_canonical_moves` itself, so the array
+    A single triple is reduced by `_canonical_point` itself, so the array
     code is checked on the same triple stacked as a (1, 3) batch.
     """
-    want = _bits(weyl._canonical_moves(raw)[0])
+    want = _bits(weyl._canonical_point(raw))
     assert np.array_equal(_bits(canonicalize(raw)), want)
     assert np.array_equal(_bits(canonicalize([raw])[0]), want)
 
@@ -160,25 +180,15 @@ def test_kak_roundtrip_random():
             assert abs(np.linalg.det(v) - 1) <= 1e-9
 
 
-# Raw points whose canonicalization needs, between them, every move:
-# odd and even shifts, all swaps, and the flips (0, 1) and (0, 2).
-_REPLAY_EXAMPLES = [
+# Raw points whose canonicalization takes, between them, every step:
+# odd and even shifts, all swaps, the pairwise fold and the base fold.
+_DRESSED_EXAMPLES = [
     (-5.0, 0.4, 0.0),
     (2.0, 0.3, 0.0),
     (2.5, 2.0, 0.4),
     (0.2, 0.9, 1.4),
     (-2 * PI, 2 * PI, PI),
 ]
-
-
-def test_replay_examples_cover_every_move():
-    moves = set()
-    for raw in _REPLAY_EXAMPLES:
-        for kind, i, n in weyl._canonical_moves(raw)[1]:
-            moves.add((kind, i, n) if kind != "shift" else (kind, n % 2))
-    assert moves >= {
-        ("shift", 0), ("shift", 1), ("swap", 0, 1), ("swap", 1, 2), ("flip", 0, 1), ("flip", 0, 2)
-    }
 
 
 def _check_kak(k, u, a):
@@ -195,23 +205,81 @@ raw_angle = st.one_of(
 seeds = st.integers(0, 2**32 - 1)
 
 
-@given(st.tuples(raw_angle, raw_angle, raw_angle), seeds)
-@example(_REPLAY_EXAMPLES[0], 0)
-@example(_REPLAY_EXAMPLES[1], 1)
-@example(_REPLAY_EXAMPLES[2], 2)
-@example(_REPLAY_EXAMPLES[3], 3)
-@example(_REPLAY_EXAMPLES[4], 4)
-def test_kak_replay_on_local_factors(raw, seed):
-    """The moves replayed on the 2x2 factors keep U, the chamber point and det 1."""
+def _dressed(u, seed):
+    """Haar local gates on both sides of u."""
     rng = np.random.default_rng(seed)
     l, r = (kron(unitary_group.rvs(2, random_state=rng), unitary_group.rvs(2, random_state=rng))
             for _ in range(2))
-    u = l @ core_gate(raw) @ r
-    a = canonicalize(raw)
-    # the drawn raw point itself, so that every move of its canonicalization is replayed
-    with mock.patch.object(weyl, "_magic_kak_raw", lambda _: (l, np.array(raw), r, 0.0)):
-        _check_kak(kak_decompose(u), u, a)
-    _check_kak(kak_decompose(u), u, a)
+    return l @ u @ r
+
+
+@given(st.tuples(raw_angle, raw_angle, raw_angle), seeds)
+@example(_DRESSED_EXAMPLES[0], 0)
+@example(_DRESSED_EXAMPLES[1], 1)
+@example(_DRESSED_EXAMPLES[2], 2)
+@example(_DRESSED_EXAMPLES[3], 3)
+@example(_DRESSED_EXAMPLES[4], 4)
+def test_kak_on_dressed_raw_points(raw, seed):
+    """KAK of a dressed raw point keeps U, finds its chamber point and det 1 factors."""
+    u = _dressed(core_gate(raw), seed)
+    _check_kak(kak_decompose(u), u, canonicalize(raw))
+
+
+def _same_point(a, b, tol):
+    """Max-norm distance within tol, with [a1, a2, 0] ~ [pi - a1, a2, 0] on the base."""
+    d = np.max(np.abs(a - b))
+    if max(abs(a[2]), abs(b[2])) <= tol:
+        d = min(d, max(abs(a[0] - (PI - b[0])), abs(a[1] - b[1]), abs(a[2] - b[2])))
+    return d <= tol
+
+
+_H = PI / 2
+# (s, t) in [0, 1]^2 to raw points on the chamber's faces, edges and vertices,
+# and in the base band 0 < a3 <= CHAMBER_TOL where the base fold applies
+_BOUNDARY = (
+    lambda s, t: (_H * s, _H * s * t, 0.0),
+    lambda s, t: (_H * s, _H * s, _H * s * t),
+    lambda s, t: (PI * s, min(s, 1 - s) * PI * t, min(s, 1 - s) * PI * t),
+    lambda s, t: (_H + _H * s, _H - _H * s, (_H - _H * s) * t),
+    lambda s, t: (PI * s, 0.0, 0.0),
+    lambda s, t: (_H * s, _H * s, 0.0),
+    lambda s, t: (_H * s, _H * s, _H * s),
+    lambda s, t: (_H + _H * s, _H - _H * s, 0.0),
+    lambda s, t: (_H + _H * s, _H - _H * s, _H - _H * s),
+    lambda s, t: (_H, _H, _H * s),
+    lambda s, t: (_H + _H * s, _H * t, weyl.CHAMBER_TOL * t),
+    lambda s, t: (0.0, 0.0, 0.0),
+    lambda s, t: (PI, 0.0, 0.0),
+    lambda s, t: (_H, _H, 0.0),
+    lambda s, t: (_H, _H, _H),
+)
+unit = st.floats(0, 1)
+boundary_points = st.builds(lambda f, s, t: f(s, t), st.sampled_from(_BOUNDARY), unit, unit)
+
+
+@given(boundary_points, seeds)
+@example((2.0, 0.5, 5e-8), 0)
+def test_extract_nonlocal_matches_kak_on_dressed_boundary_points(raw, seed):
+    """The eigenvalue-only chamber point equals the one KAK reports."""
+    u = _dressed(core_gate(raw), seed)
+    assert _same_point(extract_nonlocal(u), kak_decompose(u).a, 1e-12)
+
+
+_BRAID_PARAMS = {"I": 4, "II": 3, "III": 2, "IV": 1}
+braid_specs = st.sampled_from(braid.FAMILIES).flatmap(
+    lambda f: st.builds(braid.BraidSpec, st.just(f),
+                        st.lists(st.floats(-10, 10), min_size=_BRAID_PARAMS[f],
+                                 max_size=_BRAID_PARAMS[f]))
+)
+
+
+@given(braid_specs, st.one_of(st.none(), seeds))
+def test_extract_nonlocal_matches_kak_on_braid_gates(spec, seed):
+    """As above, for the four braid families, bare and dressed."""
+    u = braid.build_braid(spec)
+    if seed is not None:
+        u = _dressed(u, seed)
+    assert _same_point(extract_nonlocal(u), kak_decompose(u).a, 1e-12)
 
 
 def test_kak_roundtrip_degenerate_landmarks():
