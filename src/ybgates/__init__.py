@@ -7,6 +7,9 @@ matchgate / dual-unitary classification, and minimal-CNOT circuit synthesis
 over {Rz, H, S, Sdg, T, Tdg, CNOT}.
 """
 
+# defined before the submodules are imported, so `cli` can report it
+__version__ = "0.1.0"
+
 from .baxterize import (
     YbSpec,
     baxterize2,
@@ -55,5 +58,3 @@ from .weyl import (
     kak_decompose,
     min_cnot_count,
 )
-
-__version__ = "0.1.0"

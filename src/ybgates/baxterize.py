@@ -31,6 +31,10 @@ class YbSpec:
     shape. Only the closed forms `yb_nonlocal_closed` and `yb_ep` take a
     batch spec; `build_yb`, `ybe_residual` and the other gate builders stay
     scalar-only.
+
+    Specs compare by value: same family and kind, and equal (np.array_equal)
+    parameters. Scalar specs hash by their fields; batch specs raise
+    TypeError on hash(), as their arrays are mutable.
     """
 
     family: str
@@ -59,6 +63,23 @@ class YbSpec:
             raise ValueError(
                 f"family {self.family} takes {want} braid parameters, got {len(self.phi)}"
             )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.family == other.family
+            and self.kind == other.kind
+            and all(
+                np.array_equal(p, q)
+                for p, q in zip((self.spectral, *self.phi), (other.spectral, *other.phi))
+            )
+        )
+
+    def __hash__(self):
+        if isinstance(self.spectral, np.ndarray):
+            raise TypeError("unhashable type: batch YbSpec (its parameters are arrays)")
+        return hash((self.family, self.kind, self.spectral, self.phi))
 
     @property
     def mu(self) -> float:

@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from . import baxterize, braid, classify, synth, weyl
+from . import __version__, baxterize, braid, classify, synth, weyl
 from .linalg import unitarity_residual
 
 UNITARY_TOL = 1e-6
@@ -159,10 +159,17 @@ def _require_unitary(u: np.ndarray) -> float:
 
 
 def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(DEFAULT_SEED_ENV)
-    return int(env) if env else 0
+    """The effective Monte Carlo seed: --seed, else GATE_TOOL_SEED, else 0."""
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get(DEFAULT_SEED_ENV)
+        try:
+            seed = int(env) if env else 0
+        except ValueError:
+            raise InputError(f"{DEFAULT_SEED_ENV} must be an integer, got {env!r}")
+    if seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 def build_report(u: np.ndarray, spec, seed: int, mc_samples: int, mu: float, nu: float) -> dict:
@@ -173,6 +180,9 @@ def build_report(u: np.ndarray, spec, seed: int, mc_samples: int, mu: float, nu:
     if isinstance(spec, baxterize.YbSpec):
         ybe = baxterize.ybe_residual(spec, mu, nu)
     report = {
+        "version": __version__,
+        "seed": seed,
+        "mc_samples": mc_samples,
         "nonlocal": [float(x) for x in a],
         "location": weyl.chamber_location(a),
         "entangling_power": float(weyl.entangling_power(u)),

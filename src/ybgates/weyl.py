@@ -10,13 +10,15 @@ by taking a1 <= pi/2.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, is_unitary, kron, phase_distance, sym_unitary_eig
+from .linalg import PAULIS, dagger, is_unitary, kron, phase_distance, sym_unitary_eig
 
 CHAMBER_TOL = 1e-7
 
@@ -275,33 +277,80 @@ def entangling_power_from_point(a):
     return (2 / 9) * (1 - (c[..., 0] * c[..., 1] * c[..., 2] + s[..., 0] * s[..., 1] * s[..., 2]))
 
 
+# Two-qubit Paulis sigma_mu (x) sigma_nu at index 4 mu + nu, and the
+# symmetric form with psi^T E psi = psi00 psi11 - psi01 psi10.
+_PAULI_PAIRS = np.array([kron(p, q) for p in PAULIS for q in PAULIS])
+_PAULI_PAIRS.setflags(write=False)
+_DET_FORM = np.array([[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]]) / 2
+# samples per block when the draws are reduced to moments
+_MC_CHUNK = 2048
+
+
+def _bloch_columns(x: np.ndarray) -> np.ndarray:
+    """Columns v = (1, Bloch vector) of the states z = x[0] + i x[1].
+
+    x has shape (2, f, k, 2): real/imaginary part, factor, sample, amplitude.
+    Returns shape (f, 4, k), samples last so the products below run over
+    contiguous rows.
+    """
+    re0, re1 = x[0, ..., 0], x[0, ..., 1]
+    im0, im1 = x[1, ..., 0], x[1, ..., 1]
+    p0 = re0 * re0 + im0 * im0
+    p1 = re1 * re1 + im1 * im1
+    norm = p0 + p1
+    # conj(z0) z1 = wr + i wi gives the x and y components 2 wr and 2 wi
+    wr = re0 * re1 + im0 * im1
+    wi = re0 * im1 - im0 * re1
+    return np.stack([norm, 2 * wr, 2 * wi, p0 - p1], axis=1) / norm[:, None]
+
+
+@functools.lru_cache(maxsize=8)
+def _mc_moments(n: int, seed: int) -> np.ndarray:
+    """Read-only M = mean e e^T over the n seeded product states.
+
+    e = v_a (x) v_b is the real 16-vector of a sample's two Bloch columns,
+    so rho_a (x) rho_b = sum_alpha e_alpha P_alpha / 4.  The draws are
+    reduced in blocks of _MC_CHUNK samples, so no (16, n) array is formed.
+    """
+    x = np.random.default_rng(seed).standard_normal((2, 2, n, 2))
+    m = np.zeros((16, 16))
+    for s in range(0, n, _MC_CHUNK):
+        v = _bloch_columns(x[:, :, s : s + _MC_CHUNK])
+        e = (v[0, :, None] * v[1, None, :]).reshape(16, -1)
+        m += e @ e.T
+    m /= n
+    m.setflags(write=False)
+    return m
+
+
 def entangling_power_mc(u: np.ndarray, n: int, seed: int = 0) -> float:
     """Monte-Carlo estimate of the average output linear entropy.
 
     Each of the n samples is psi = u (a x b) for Haar product states drawn
-    as complex Gaussian pairs a, b.  The reduced state rho = M M^dag of the
-    2x2 reshape M of psi has purity tr rho^2 = (tr rho)^2 - 2 det rho with
-    tr rho = |psi|^2 and det rho = |psi00 psi11 - psi01 psi10|^2, an
-    identity of any 2x2 Hermitian matrix, so no rho is formed.  The purity
-    scales as (|a|^2 |b|^2)^2 and is divided by it in place of normalizing
-    a and b.  The draws are those of the earlier density-matrix estimator
-    (real parts, then imaginary parts), so a seed gives its value up to
-    rounding.
+    as complex Gaussian pairs a, b (real parts, then imaginary parts, of one
+    standard_normal((2, 2, n, 2)) draw from default_rng(seed)).  With
+    rho = rho_a x rho_b the normalized input and e its 16 real Pauli
+    coordinates, the purity (tr r)^2 - 2 det r of the reduced state r is
+
+        (c . e)^2 - 2 e^T N e,   c = tr(G P)/4,  G = u^dag u,
+                                 N = Re tr(P^T Q P Q^dag)/16,  Q = u^T E u,
+
+    an identity for any u, unitary or not.  So the estimate is
+    1 - c^T M c + 2 <N, M> with M = mean e e^T, which depends on (n, seed)
+    only and is computed once and cached; a seed gives the mean of the
+    per-sample purities up to rounding.  The seed must be an integer
+    (operator.index): None, a Generator or a float raises TypeError, and a
+    negative seed raises ValueError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    m = _mc_moments(int(n), operator.index(seed))
     u = np.asarray(u, dtype=complex)
-    rng = np.random.default_rng(seed)
-    n = int(n)
-    x = rng.standard_normal((2, 2, n, 2))
-    z = x[0] + 1j * x[1]
-    psi = np.einsum("ni,nj->nij", z[0], z[1]).reshape(n, 4) @ u.T
-    p = psi.view(float)
-    zr = z.view(float)
-    norm2 = np.einsum("inj,inj->in", zr, zr)
-    det = psi[:, 0] * psi[:, 3] - psi[:, 1] * psi[:, 2]
-    purity = np.einsum("ni,ni->n", p, p) ** 2 - 2 * np.abs(det) ** 2
-    return float(np.mean(1.0 - purity / (norm2[0] * norm2[1]) ** 2))
+    c = np.einsum("aji,ij->a", _PAULI_PAIRS, dagger(u) @ u).real / 4
+    q = u.T @ _DET_FORM @ u
+    qpq = q @ _PAULI_PAIRS @ dagger(q)
+    nq = (_PAULI_PAIRS.reshape(16, 16) @ qpq.reshape(16, 16).T).real / 16
+    return float(1.0 - c @ m @ c + 2.0 * np.sum(nq * m))
 
 
 def min_cnot_count(a, tol: float = CHAMBER_TOL) -> int:

@@ -136,6 +136,24 @@ def test_batch_spec_shapes():
         YbSpec("I", 1, np.zeros(3), (0.0, np.zeros(2), 0.0))
 
 
+def test_spec_equality_by_value():
+    def batch(mu=0.2, kind=1):
+        return YbSpec("III", kind, np.array([0.1, mu]), (np.array([[0.3], [0.4]]), 0.5))
+
+    assert batch() == batch() and not batch() != batch()
+    assert batch() != batch(mu=0.3)
+    assert batch() != batch(kind=2)
+    assert batch() != YbSpec("III", 1, 0.1, (0.3, 0.5))
+    scalar = YbSpec("I", 1, 0.6, (0.2, 1.1, 2.3))
+    assert scalar == YbSpec("I", 1, 0.6, (0.2, 1.1, 2.3))
+    assert scalar != YbSpec("II", 1, 0.6, (0.2, 1.1, 2.3))
+    assert hash(scalar) == hash(YbSpec("I", 1, 0.6, (0.2, 1.1, 2.3)))
+    assert len({scalar, YbSpec("I", 1, 0.6, (0.2, 1.1, 2.3))}) == 1
+    # batch specs hold mutable arrays, so they are unhashable
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(batch())
+
+
 def test_gate_geometry_edges_and_faces():
     # kinds 2 and 3 of families I-III live on the A2A3 edge; family IV on OA1
     for family in ("I", "II", "III"):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import ybgates
 from ybgates import cli
 from ybgates.linalg import phase_distance
 from ybgates.synth import Circuit, GateOp, evaluate
@@ -167,10 +168,21 @@ def test_analyze_seed_env(tmp_path, capsys, monkeypatch):
     _, out_env, _ = run(capsys, "analyze", path)
     monkeypatch.delenv(cli.DEFAULT_SEED_ENV)
     _, out_explicit, _ = run(capsys, "analyze", path, "--seed", "11")
-    assert (
-        json.loads(out_env)["entangling_power_mc"]
-        == json.loads(out_explicit)["entangling_power_mc"]
-    )
+    rep_env, rep_explicit = json.loads(out_env), json.loads(out_explicit)
+    assert rep_env["entangling_power_mc"] == rep_explicit["entangling_power_mc"]
+    assert rep_env["seed"] == rep_explicit["seed"] == 11
+    assert rep_env["version"] == ybgates.__version__
+    assert rep_env["mc_samples"] == 20000
+
+
+@pytest.mark.parametrize("argv, env", [(["--seed", "-1"], None), ([], "-1"), ([], "1.5")])
+def test_analyze_bad_seed_exits_two(tmp_path, capsys, monkeypatch, argv, env):
+    path = write_spec(tmp_path, {"named": "cnot"})
+    if env is not None:
+        monkeypatch.setenv(cli.DEFAULT_SEED_ENV, env)
+    code, out, err = run(capsys, "analyze", path, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_analyze_schema_error(tmp_path, capsys):

@@ -358,6 +358,53 @@ def test_entangling_power_mc_matches_density_matrix_reference():
                 assert abs(entangling_power_mc(u, n, seed) - want) <= 1e-12, (n, seed)
 
 
+def _near_haar(gate_seed, eps):
+    """A Haar gate moved off unitarity by up to eps per entry."""
+    rng = np.random.default_rng(gate_seed)
+    u = unitary_group.rvs(4, random_state=rng)
+    return u + eps * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+
+
+mc_gates = st.builds(_near_haar, seeds, st.one_of(st.just(0.0), st.floats(0, 1e-6)))
+
+
+@given(mc_gates, seeds, st.integers(1, 64))
+@example(CNOT, 0, 20000)
+@example(SWAP, 1006, 3)
+@example(np.eye(4), 1, 1)
+@example(_near_haar(5, 1e-6), 7, 20000)
+def test_entangling_power_mc_moment_form_matches_density_matrix(u, seed, n):
+    assert abs(entangling_power_mc(u, n, seed) - _density_matrix_mc(u, n, seed)) <= 1e-12
+
+
+def test_entangling_power_mc_cache_hit_matches_miss():
+    u = unitary_group.rvs(4, random_state=RNG)
+    weyl._mc_moments.cache_clear()
+    miss = entangling_power_mc(u, 20000, seed=4)
+    assert weyl._mc_moments.cache_info().misses == 1
+    hit = entangling_power_mc(u, 20000, seed=4)
+    assert weyl._mc_moments.cache_info().hits == 1
+    assert hit.hex() == miss.hex()
+
+
+@pytest.mark.parametrize("n", [1, 20000])
+def test_mc_moments_are_read_only_16x16(n):
+    m = weyl._mc_moments(n, 0)
+    assert m.shape == (16, 16)
+    assert m[0, 0] == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(ValueError):
+        m[0, 0] = 0.0
+
+
+def test_entangling_power_mc_seed_must_be_an_integer():
+    for bad in (None, np.random.default_rng(0), 1.0):
+        with pytest.raises(TypeError):
+            entangling_power_mc(CNOT, 10, seed=bad)
+    with pytest.raises(ValueError):
+        entangling_power_mc(CNOT, 10, seed=-1)
+    assert entangling_power_mc(ISWAP, 10, seed=np.int64(3)) == entangling_power_mc(ISWAP, 10, seed=3)
+
+
 def test_min_cnot_count():
     assert min_cnot_count([0, 0, 0]) == 0
     assert min_cnot_count([PI / 2, 0, 0]) == 1
