@@ -56,7 +56,7 @@ def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    t = np.trace(dagger(a) @ b)
+    t = np.vdot(a, b)  # tr(a^dag b)
     phi = -np.angle(t) if abs(t) > 0 else 0.0
     return frob(a - np.exp(1j * phi) * b)
 
@@ -86,15 +86,17 @@ def sym_unitary_eig(m: np.ndarray, tol: float = 1e-8):
     b = m.imag.copy()
     a = (a + a.T) / 2
     b = (b + b.T) / 2
-    rng = np.random.default_rng(7)
+    rng = None
     t = np.sqrt(2.0)  # fixed irrational mixing weight
     for _ in range(20):
         _, o = np.linalg.eigh(a + t * b)
         da = np.einsum("ij,ik,kj->j", o, a, o)
         db = np.einsum("ij,ik,kj->j", o, b, o)
         angles = np.arctan2(db, da)
-        rec = o @ np.diag(np.exp(1j * angles)) @ o.T
+        rec = (o * np.exp(1j * angles)) @ o.T
         if frob(rec - m) <= 1e-9:
             return angles, o
+        if rng is None:  # built on the first retry only
+            rng = np.random.default_rng(7)
         t = rng.uniform(0.1, 3.0)
     raise ValueError(f"failed to diagonalize symmetric unitary (residual {frob(rec - m):.2e})")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import I2, I4, SX, SZ, dagger, frob, kron, phase_distance
+from .linalg import I2, I4, SX, SZ, dagger, kron, phase_distance
 from .weyl import CNOT, SWAP, kak_decompose, min_cnot_count
 
 _SINGLE_KINDS = ("H", "S", "SDG", "T", "TDG", "RZ")
@@ -22,10 +22,13 @@ _SDG = dagger(_S)
 _T = np.diag([1, cmath.exp(0.25j * math.pi)]).astype(complex)
 
 
+_FIXED_1Q = {"H": _H, "S": _S, "SDG": _SDG, "T": _T, "TDG": dagger(_T)}
+# Every angle-free single-qubit gate as its entries (g00, g01, g10, g11).
+_ENTRIES_1Q = {kind: tuple(g.ravel().tolist()) for kind, g in _FIXED_1Q.items()}
 # Read-only 4x4 matrix of every angle-free op, keyed by (kind, qubits).
 _FIXED_OPS = {
     (kind, (q,)): kron(g, I2) if q == 0 else kron(I2, g)
-    for kind, g in (("H", _H), ("S", _S), ("SDG", _SDG), ("T", _T), ("TDG", dagger(_T)))
+    for kind, g in _FIXED_1Q.items()
     for q in (0, 1)
 }
 _FIXED_OPS["CNOT", (0, 1)] = CNOT.copy()
@@ -34,14 +37,9 @@ for _m in _FIXED_OPS.values():
     _m.setflags(write=False)
 # Rz(theta) on qubit q is diag(exp(0.5j * theta * _RZ_SIGNS[q])).
 _RZ_SIGNS = (np.array([-1, -1, 1, 1]), np.array([-1, 1, -1, 1]))
-
-
-def rz_matrix(theta: float) -> np.ndarray:
-    return np.diag([cmath.exp(-0.5j * theta), cmath.exp(0.5j * theta)])
-
-
-def rx_matrix(theta: float) -> np.ndarray:
-    return _H @ rz_matrix(theta) @ _H
+# A CNOT permutes basis states: row order of CNOT @ m for each (control, target).
+_CNOT_ROWS = {(0, 1): (0, 1, 3, 2), (1, 0): (0, 3, 2, 1)}
+_ID_2X2 = (1 + 0j, 0j, 0j, 1 + 0j)
 
 
 @dataclass(frozen=True)
@@ -89,12 +87,47 @@ class Circuit:
         return sum(1 for op in self.ops if op.kind == "CNOT")
 
 
+def _kron_rows(x: tuple, y: tuple) -> list:
+    """Rows of the 4x4 kron of two 2x2 matrices given as their entries."""
+    x00, x01, x10, x11 = x
+    y00, y01, y10, y11 = y
+    return [
+        [x00 * y00, x00 * y01, x01 * y00, x01 * y01],
+        [x00 * y10, x00 * y11, x01 * y10, x01 * y11],
+        [x10 * y00, x10 * y01, x11 * y00, x11 * y01],
+        [x10 * y10, x10 * y11, x11 * y10, x11 * y11],
+    ]
+
+
 def evaluate(c: Circuit) -> np.ndarray:
-    """Unitary of the circuit, including its declared global phase."""
-    u = I4.copy()
+    """Unitary of the circuit, including its declared global phase.
+
+    The single-qubit ops between two CNOTs act on one 2x2 accumulator per
+    qubit, held as four Python complex entries: RZ scales its rows by
+    exp(-+i theta/2), the other kinds multiply in their fixed entries.  Each
+    CNOT, and the end of the circuit, applies the kron of the two
+    accumulators (rows permuted by the CNOT) as one 4x4 product.
+    """
+    u = I4
+    acc = [_ID_2X2, _ID_2X2]
     for op in c.ops:
-        u = op.matrix() @ u
-    return cmath.exp(1j * c.phase) * u
+        kind = op.kind
+        if kind == "CNOT":
+            rows = _kron_rows(*acc)
+            u = np.array([rows[i] for i in _CNOT_ROWS[op.qubits]]) @ u
+            acc = [_ID_2X2, _ID_2X2]
+            continue
+        q = op.qubits[0]
+        x00, x01, x10, x11 = acc[q]
+        if kind == "RZ":
+            e = cmath.exp(-0.5j * op.angle)
+            f = e.conjugate()
+            acc[q] = (e * x00, e * x01, f * x10, f * x11)
+        else:
+            g00, g01, g10, g11 = _ENTRIES_1Q[kind]
+            acc[q] = (g00 * x00 + g01 * x10, g00 * x01 + g01 * x11,
+                      g10 * x00 + g11 * x10, g10 * x01 + g11 * x11)
+    return cmath.exp(1j * c.phase) * (np.array(_kron_rows(*acc)) @ u)
 
 
 def verify_circuit(c: Circuit, target: np.ndarray) -> float:
@@ -117,25 +150,29 @@ def euler_zxz(v: np.ndarray, tol: float = 1e-12):
     When the middle angle is 0 or pi within tol, gamma is set to 0 and
     folded into alpha.
     """
-    v = np.asarray(v, dtype=complex)
-    det = np.linalg.det(v)
-    w = v / cmath.sqrt(det)
-    cb, sb = abs(w[0, 0]), abs(w[0, 1])
+    entries = np.asarray(v, dtype=complex).ravel().tolist()
+    v00, v01, v10, v11 = entries
+    root = cmath.sqrt(v00 * v11 - v01 * v10)
+    w00, w01, w10 = v00 / root, v01 / root, v10 / root
+    cb, sb = abs(w00), abs(w01)
     beta = 2 * math.atan2(sb, cb)
     if sb <= tol:
-        alpha, beta, gamma = -2 * cmath.phase(w[0, 0]), 0.0, 0.0
+        alpha, beta, gamma = -2 * cmath.phase(w00), 0.0, 0.0
     elif cb <= tol:
-        alpha, beta, gamma = 2 * (cmath.phase(w[1, 0]) + math.pi / 2), math.pi, 0.0
+        alpha, beta, gamma = 2 * (cmath.phase(w10) + math.pi / 2), math.pi, 0.0
     else:
-        half_sum = -cmath.phase(w[0, 0])
-        half_diff = cmath.phase(w[1, 0]) + math.pi / 2
+        half_sum = -cmath.phase(w00)
+        half_diff = cmath.phase(w10) + math.pi / 2
         alpha = half_sum + half_diff
         gamma = half_sum - half_diff
     alpha, gamma = _wrap(alpha), _wrap(gamma)
-    rec = rz_matrix(alpha) @ rx_matrix(beta) @ rz_matrix(gamma)
-    t = np.trace(dagger(rec) @ v)
-    phase = cmath.phase(t)
-    if frob(v - cmath.exp(1j * phase) * rec) > 1e-10:
+    # Rz(alpha) Rx(beta) Rz(gamma) = [[c p, -i s q], [-i s q*, c p*]]
+    c, s = math.cos(beta / 2), math.sin(beta / 2)
+    p, q = cmath.exp(-0.5j * (alpha + gamma)), cmath.exp(-0.5j * (alpha - gamma))
+    rec = (c * p, -1j * s * q, -1j * s * q.conjugate(), c * p.conjugate())
+    phase = cmath.phase(sum(r.conjugate() * x for r, x in zip(rec, entries)))
+    e = cmath.exp(1j * phase)
+    if math.sqrt(sum(abs(x - e * r) ** 2 for r, x in zip(rec, entries))) > 1e-10:
         raise ValueError("single-qubit Euler decomposition failed")
     return alpha, beta, gamma, phase
 

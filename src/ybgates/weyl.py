@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULIS, dagger, is_unitary, kron, phase_distance, sym_unitary_eig
+from .linalg import PAULIS, dagger, frob, is_unitary, kron, phase_distance, sym_unitary_eig
 
 CHAMBER_TOL = 1e-7
 
@@ -56,7 +56,7 @@ def core_gate(a) -> np.ndarray:
     """exp(i/2 (a1 XX + a2 YY + a3 ZZ)) for arbitrary finite angles."""
     # The three terms commute and are diagonal in the magic basis.
     d = _PHASE_MAP @ np.array([float(x) for x in a])
-    return _MAGIC @ np.diag(np.exp(0.5j * d)) @ _MAGIC_DAG
+    return (_MAGIC * np.exp(0.5j * d)) @ _MAGIC_DAG
 
 
 def _magic_frame(u: np.ndarray) -> np.ndarray:
@@ -70,14 +70,17 @@ def _magic_frame(u: np.ndarray) -> np.ndarray:
 # Weyl chamber canonicalization
 # ---------------------------------------------------------------------------
 
-def _canonical_point(raw) -> np.ndarray:
+def _canonical_point(raw, clamp: bool = True) -> np.ndarray:
     """Reduce a raw coordinate triple to the chamber, on Python floats.
 
     Each a_i is shifted into [0, pi), the triple is sorted descending,
     (a1, a2) -> (pi - a1, pi - a2) when a1 + a2 > pi, and
     [a1, a2, a3] -> [pi - a1, a2, -a3] when a3 <= CHAMBER_TOL and
     a1 > pi/2, each fold followed by a re-sort.  Every step is an exact
-    Weyl move.
+    Weyl move.  The base fold leaves a3 in [-CHAMBER_TOL, 0], outside the
+    chamber, so it is clamped to 0, which moves the gate by up to
+    CHAMBER_TOL.  With clamp=False the exact image -a3 is kept: KAK needs
+    it, since its 1e-8 reconstruction check is tighter than CHAMBER_TOL.
     """
     a = [float(x) for x in raw]
     pi = math.pi
@@ -96,7 +99,7 @@ def _canonical_point(raw) -> np.ndarray:
         a[0], a[1] = -a[0] + pi, -a[1] + pi
         sort_desc()
     if a[2] <= CHAMBER_TOL and a[0] > pi / 2:
-        a[0], a[2] = -a[0] + pi, -a[2]
+        a[0], a[2] = -a[0] + pi, 0.0 if clamp else -a[2]
         sort_desc()
     return np.array(a)
 
@@ -135,10 +138,10 @@ def canonicalize(raw) -> np.ndarray:
     a[..., 0] = np.where(fold, -a[..., 0] + pi, a[..., 0])
     a[..., 1] = np.where(fold, -a[..., 1] + pi, a[..., 1])
     _sort_desc(a, fold)
-    # the a3 = 0 identification [a1, a2, 0] ~ [pi - a1, a2, 0]
+    # the a3 = 0 identification [a1, a2, 0] ~ [pi - a1, a2, 0], a3 clamped
     base = (a[..., 2] <= CHAMBER_TOL) & (a[..., 0] > pi / 2)
     a[..., 0] = np.where(base, -a[..., 0] + pi, a[..., 0])
-    a[..., 2] = np.where(base, -a[..., 2], a[..., 2])
+    a[..., 2] = np.where(base, 0.0, a[..., 2])
     _sort_desc(a, base)
     return a
 
@@ -148,12 +151,13 @@ def _chamber_point(angles: np.ndarray) -> np.ndarray:
 
     Half the phases are the magic-basis phases of a core gate up to a
     global phase, once pi is added to one of them if their sum is an odd
-    multiple of pi (det ubar = 1 makes it a multiple of pi).
+    multiple of pi (det ubar = 1 makes it a multiple of pi).  The point is
+    the exact Weyl image, a3 unclamped, so that KAK reconstructs the gate.
     """
     half = angles / 2
     if math.cos(half.sum()) < 0:
         half[0] += math.pi
-    return canonicalize(half @ _PHASE_MAP / 2)
+    return _canonical_point((half @ _PHASE_MAP / 2).tolist(), clamp=False)
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +165,11 @@ def _chamber_point(angles: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # The 24 column orders of the eigenbasis, and the signs s = e^{2i theta}
-# for theta = 0, pi/2.
+# for theta = 0, pi/2.  Entry [k, j, l] of _MATCH is the flat index of
+# (s_j, _PERMS[k][l], l) in the (2, 4, 4) table |exp(i angles) - s exp(i d)|.
 _PERMS = np.array(list(itertools.permutations(range(4))))
 _SIGNS = np.array([1.0, -1.0])
+_MATCH = np.arange(2)[:, None] * 16 + _PERMS[:, None, :] * 4 + np.arange(4)
 
 
 @dataclass
@@ -189,16 +195,25 @@ class KakDecomposition:
 def _factor_local(k: np.ndarray):
     """Split k = e^{i phase} (a x b) with det a = det b = 1.
 
-    The phase is that of the overlap tr((a x b)^dag k) = 4 e^{i phase}.
+    Block (i, j) of k = c (A x B) is c A_ij B: row 2i + j of the
+    realigned matrix r[2i + j, 2p + q] = k[2i + p, 2j + q] is c A_ij
+    vec(B).  With b the largest-norm row, a = r b^* / |b|^2 is
+    vec(A) / A_ij, so r = a b^T and k = a x b exactly.  The realignment
+    keeps the Frobenius norm, so |r - a b^T| is |k - a x b|; past 1e-7,
+    k is not a tensor product.  Dividing a and b by square roots of their
+    determinants leaves the phase of the product of those roots.
     """
-    f = k.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    u, s, vh = np.linalg.svd(f)
-    if s[1] > 1e-7:
-        raise ValueError(f"matrix is not a tensor product (s1 = {s[1]:.2e})")
-    a, b = u[:, 0].reshape(2, 2), vh[0, :].reshape(2, 2)
-    a, b = a / cmath.sqrt(np.linalg.det(a)), b / cmath.sqrt(np.linalg.det(b))
-    phase = cmath.phase(np.trace(dagger(kron(a, b)) @ k))
-    return a, b, phase
+    r = k.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    norms = (r.real**2 + r.imag**2).sum(axis=1)
+    n = int(np.argmax(norms))
+    b = r[n]
+    a = r @ b.conj() / norms[n]
+    resid = frob(r - np.outer(a, b))
+    if not resid <= 1e-7:
+        raise ValueError(f"matrix is not a tensor product (residual {resid:.2e})")
+    (a00, a01, a10, a11), (b00, b01, b10, b11) = a.tolist(), b.tolist()
+    ra, rb = cmath.sqrt(a00 * a11 - a01 * a10), cmath.sqrt(b00 * b11 - b01 * b10)
+    return (a / ra).reshape(2, 2), (b / rb).reshape(2, 2), cmath.phase(ra * rb)
 
 
 def kak_decompose(u: np.ndarray) -> KakDecomposition:
@@ -225,8 +240,8 @@ def kak_decompose(u: np.ndarray) -> KakDecomposition:
     angles, p = sym_unitary_eig(ubar.T @ ubar)
     a = _chamber_point(angles)
     d = _PHASE_MAP @ a
-    mismatch = np.exp(1j * angles)[_PERMS][:, None, :] - _SIGNS[:, None] * np.exp(1j * d)
-    k, j = np.unravel_index(np.argmin(np.abs(mismatch).max(axis=2)), mismatch.shape[:2])
+    dist = np.abs(np.exp(1j * angles)[:, None] - _SIGNS[:, None, None] * np.exp(1j * d))
+    k, j = divmod(int(dist.take(_MATCH).max(axis=2).argmin()), 2)
     p = p[:, _PERMS[k]]
     if np.linalg.det(p) < 0:
         p[:, 0] = -p[:, 0]

@@ -18,8 +18,6 @@ from ybgates.synth import (
     _core_template,
     euler_zxz,
     evaluate,
-    rx_matrix,
-    rz_matrix,
     synth_general,
     synth_riv,
     synth_zz,
@@ -29,6 +27,15 @@ from ybgates.weyl import CNOT, SWAP, canonicalize, core_gate, extract_nonlocal, 
 
 RNG = np.random.default_rng(47)
 PI = math.pi
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+
+
+def rz_matrix(theta: float) -> np.ndarray:
+    return np.diag([cmath.exp(-0.5j * theta), cmath.exp(0.5j * theta)])
+
+
+def rx_matrix(theta: float) -> np.ndarray:
+    return _H @ rz_matrix(theta) @ _H
 
 
 # --- circuit IR ------------------------------------------------------------
@@ -71,6 +78,33 @@ def test_op_table():
     for qubits in ((0, 1), (1, 0)):
         with pytest.raises(ValueError):
             GateOp("CNOT", qubits).matrix()[0, 0] = 0.0
+
+
+one_qubit = st.sampled_from([(0,), (1,)])
+single_ops = st.one_of(
+    st.builds(GateOp, st.sampled_from(["H", "S", "SDG", "T", "TDG"]), one_qubit),
+    st.builds(lambda q, t: GateOp("RZ", q, t), one_qubit, st.floats(-10, 10)),
+)
+cnots = st.sampled_from([GateOp("CNOT", (0, 1)), GateOp("CNOT", (1, 0))])
+circuits = st.builds(
+    Circuit,
+    st.one_of(
+        st.lists(st.one_of(single_ops, cnots), max_size=40),
+        st.lists(single_ops, max_size=12),  # no CNOT
+        st.builds(lambda ops, c: ops + [c], st.lists(st.one_of(single_ops, cnots), max_size=30),
+                  cnots),  # ends in a CNOT
+    ),
+    st.floats(-PI, PI),
+)
+
+
+@given(circuits)
+def test_evaluate_matches_per_op_product(c):
+    """The 2x2-accumulator evaluation equals the product of the 4x4 op matrices."""
+    u = np.eye(4, dtype=complex)
+    for op in c.ops:
+        u = op.matrix() @ u
+    assert frob(evaluate(c) - cmath.exp(1j * c.phase) * u) <= 1e-13
 
 
 def test_evaluate_application_order():
@@ -122,6 +156,37 @@ def test_euler_zxz_gimbal_cases():
         a, b, g, ph = euler_zxz(v)
         rec = cmath.exp(1j * ph) * rz_matrix(a) @ rx_matrix(b) @ rz_matrix(g)
         assert frob(rec - v) < 1e-10
+
+
+def _haar_su2(seed):
+    v = unitary_group.rvs(2, random_state=np.random.default_rng(seed))
+    return v / cmath.sqrt(np.linalg.det(v))
+
+
+seeds = st.integers(0, 2**32 - 1)
+angles = st.floats(-PI, PI)
+
+
+def _check_euler(v):
+    a, b, g, ph = euler_zxz(v)
+    assert -PI < a <= PI and -PI < g <= PI and 0 <= b <= PI
+    rec = cmath.exp(1j * ph) * rz_matrix(a) @ rx_matrix(b) @ rz_matrix(g)
+    assert frob(rec - v) <= 1e-10
+    return b, g
+
+
+@given(seeds, angles)
+def test_euler_zxz_reconstructs_haar_times_phase(seed, phase):
+    _check_euler(cmath.exp(1j * phase) * _haar_su2(seed))
+
+
+@given(angles, st.floats(0, 1e-13), st.booleans(), angles, angles)
+def test_euler_zxz_near_gimbal_lock(alpha, delta, near_pi, gamma, phase):
+    """Middle angle within 1e-13 of 0 or of pi."""
+    beta = PI - delta if near_pi else delta
+    v = cmath.exp(1j * phase) * rz_matrix(alpha) @ rx_matrix(beta) @ rz_matrix(gamma)
+    # gamma is folded into alpha there
+    assert _check_euler(v) == ((PI, 0.0) if near_pi else (0.0, 0.0))
 
 
 # --- template synthesis ----------------------------------------------------
@@ -206,7 +271,6 @@ chamber_point = st.one_of(
     .map(lambda w: canonicalize(np.asarray(w) @ _VERTICES / sum(w))),
     st.sampled_from(_LANDMARKS).map(np.array),
 )
-seeds = st.integers(0, 2**32 - 1)
 
 
 @given(chamber_point, seeds, seeds)

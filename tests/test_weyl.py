@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
 from ybgates import braid, weyl
-from ybgates.linalg import SX, SY, SZ, frob, kron, unitarity_residual
+from ybgates.linalg import SX, SY, SZ, frob, kron, phase_distance, unitarity_residual
 from ybgates.weyl import (
     CNOT,
     ISWAP,
@@ -117,6 +117,17 @@ _BRANCH_POINTS = [
 ]
 
 
+# Raw points that reduce into the base band 0 < a3 <= CHAMBER_TOL with
+# a1 > pi/2, where the base fold flips a3 and then clamps it to 0.
+_BAND_POINTS = [
+    (2.0, 0.5, 5e-8),
+    (PI / 2 + 1e-9, 0.2, weyl.CHAMBER_TOL),
+    (3.0, 0.1, 1e-12),
+    (-1.2, 0.5, 5e-8),
+    (0.5, 5e-8 + PI, 2.0 - 2 * PI),
+]
+
+
 @given(chamber_raw)
 @example(_BRANCH_POINTS[0])
 @example(_BRANCH_POINTS[1])
@@ -125,6 +136,8 @@ _BRANCH_POINTS = [
 @example(_BRANCH_POINTS[4])
 @example(_BRANCH_POINTS[5])
 @example(_BRANCH_POINTS[6])
+@example(_BAND_POINTS[0])
+@example(_BAND_POINTS[4])
 def test_canonicalize_matches_move_reduction(raw):
     """The array reduction equals the scalar reduction bit for bit.
 
@@ -147,6 +160,25 @@ def test_canonicalize_rows_match_single_points(rows):
     for i, raw in enumerate(stack):
         assert np.array_equal(_bits(out[i]), _bits(canonicalize(raw)))
         assert _bits(ep[i]) == _bits(entangling_power_from_point(out[i]))
+
+
+@given(chamber_raw)
+@example(_BRANCH_POINTS[4])
+@example(_BAND_POINTS[0])
+@example(_BAND_POINTS[1])
+@example(_BAND_POINTS[2])
+@example(_BAND_POINTS[3])
+@example(_BAND_POINTS[4])
+def test_canonicalize_lands_in_chamber_on_every_branch(raw):
+    """The reduced point is in the chamber; only the clamp moves it off the
+    exact Weyl image, and only a3, by at most CHAMBER_TOL."""
+    a = canonicalize(raw)
+    assert in_chamber(a, tol=1e-9)
+    exact = weyl._canonical_point(raw, clamp=False)
+    assert np.array_equal(a[:2], exact[:2])
+    assert abs(a[2] - exact[2]) <= weyl.CHAMBER_TOL
+    if _bits(a[2]) != _bits(exact[2]):
+        assert _bits(a[2]) == _bits(0.0)  # clamped to +0, never -0
 
 
 def test_canonicalize_rejects_bad_input():
@@ -263,6 +295,25 @@ def test_extract_nonlocal_matches_kak_on_dressed_boundary_points(raw, seed):
     """The eigenvalue-only chamber point equals the one KAK reports."""
     u = _dressed(core_gate(raw), seed)
     assert _same_point(extract_nonlocal(u), kak_decompose(u).a, 1e-12)
+
+
+@given(seeds, st.floats(-PI, PI))
+def test_factor_local_recovers_tensor_products(seed, phi):
+    """e^{i phi} (a x b) from Haar a, b splits back into det-1 factors of a, b."""
+    rng = np.random.default_rng(seed)
+    a, b = (unitary_group.rvs(2, random_state=rng) for _ in range(2))
+    k = np.exp(1j * phi) * kron(a, b)
+    fa, fb, phase = weyl._factor_local(k)
+    assert frob(np.exp(1j * phase) * kron(fa, fb) - k) <= 1e-12
+    for f, g in ((fa, a), (fb, b)):
+        assert abs(np.linalg.det(f) - 1) <= 1e-12
+        assert phase_distance(f, g) <= 1e-12
+
+
+def test_factor_local_rejects_entangling_gates():
+    for g in (CNOT, SWAP, core_gate([0.3, 0.0, 0.0])):
+        with pytest.raises(ValueError, match="not a tensor product"):
+            weyl._factor_local(g)
 
 
 _BRAID_PARAMS = {"I": 4, "II": 3, "III": 2, "IV": 1}

@@ -42,3 +42,14 @@ def test_analyze_mix_cycle_passes(monkeypatch):
     assert len(reqs) == 20
     failures = [(req.kind, workload.check(req, workload.call(req))) for req in reqs]
     assert [f for f in failures if f[1] is not None] == []
+
+
+def test_synth_stream_cycle_passes(monkeypatch):
+    """Each circuit matches its gate under the benchmark's own numpy.kron
+    evaluation, with the minimal CNOT count."""
+    workload = _load_workloads(monkeypatch).SynthStream()
+    reqs = workload.cycle(np.random.default_rng([1, 0]))
+    assert len(reqs) == 40
+    failures = [(req.kind, workload.check(req, workload.call(req))) for req in reqs]
+    assert [f for f in failures if f[1] is not None] == []
+    assert len(workload.op_counts) == 40
