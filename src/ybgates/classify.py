@@ -15,49 +15,42 @@ import numpy as np
 
 from .baxterize import YbSpec
 from .braid import BraidSpec, derived_angles
-from .linalg import I2, PAULIS, SX, SZ, dagger, frob, kron
+from .linalg import PAULI_STRINGS, dagger, frob
 
 CLIFFORD_TOL = 1e-8
 
 _PAULI_NAMES = ("I", "X", "Y", "Z")
-_GENERATORS = (
-    ("XI", kron(SX, I2)),
-    ("ZI", kron(SZ, I2)),
-    ("IX", kron(I2, SX)),
-    ("IZ", kron(I2, SZ)),
-)
-_PHASES = (1, 1j, -1, -1j)
-
-_X_POSITIONS = {(0, 0), (0, 3), (3, 0), (3, 3), (1, 1), (1, 2), (2, 1), (2, 2)}
-
-
-_PAULI_STACK = np.stack(
-    [kron(PAULIS[i], PAULIS[j]) for i, j in itertools.product(range(4), repeat=2)]
-)
 _PAULI_LABELS = [a + b for a, b in itertools.product(_PAULI_NAMES, repeat=2)]
+_GENERATOR_NAMES = ("XI", "ZI", "IX", "IZ")
+_GENERATORS = PAULI_STRINGS[[4, 12, 1, 3]]
+# t = vec(m) @ _PAULI_DUAL holds the overlaps tr(P^dag m) / 4 with each Pauli string
+_PAULI_DUAL = PAULI_STRINGS.conj().reshape(16, 16).T / 4
+_PHASES = (1, 1j, -1, -1j)
+_PHASE_VALUES = np.array(_PHASES)
 
-
-def _nearest_pauli_string(m: np.ndarray):
-    """Best (name, phase, residual) approximation of m by phase * Pauli string."""
-    t = np.einsum("kji,ji->k", _PAULI_STACK.conj(), m) / 4
-    # the best signed Pauli maximizes the phase-aligned overlap
-    k = int(np.argmax(np.maximum(np.abs(t.real), np.abs(t.imag))))
-    ph = min(_PHASES, key=lambda c: abs(t[k] - c))
-    r = frob(m - ph * _PAULI_STACK[k])
-    return _PAULI_LABELS[k], ph, r
+# entries outside the X pattern: off both the diagonal and the antidiagonal
+_OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
 
 
 def clifford_table(u: np.ndarray):
     """Conjugation images U P U^dag of the four Pauli generators.
 
     Each entry maps the generator name to (pauli string, phase, residual)
-    of the nearest signed Pauli.
+    of the nearest signed Pauli: the string with the largest phase-aligned
+    overlap, the phase in {1, i, -1, -i} nearest that overlap, and the
+    Frobenius distance of the image from phase * string.
     """
     u = np.asarray(u, dtype=complex)
-    table = {}
-    for name, p in _GENERATORS:
-        table[name] = _nearest_pauli_string(u @ p @ dagger(u))
-    return table
+    images = u @ _GENERATORS @ dagger(u)
+    t = images.reshape(4, 16) @ _PAULI_DUAL
+    k = np.maximum(np.abs(t.real), np.abs(t.imag)).argmax(axis=1)
+    j = np.abs(t[np.arange(4), k][:, None] - _PHASE_VALUES).argmin(axis=1)
+    diff = images - _PHASE_VALUES[j][:, None, None] * PAULI_STRINGS[k]
+    resid = np.linalg.norm(diff.reshape(4, 16), axis=1)
+    return {
+        name: (_PAULI_LABELS[kk], _PHASES[jj], r)
+        for name, kk, jj, r in zip(_GENERATOR_NAMES, k.tolist(), j.tolist(), resid.tolist())
+    }
 
 
 def _table_is_clifford(table: dict, tol: float) -> bool:
@@ -80,8 +73,7 @@ def matchgate_dets(u: np.ndarray):
 def x_shape_residual(u: np.ndarray) -> float:
     """Frobenius norm of the entries outside the X pattern."""
     u = np.asarray(u, dtype=complex)
-    off = [u[i, j] for i in range(4) for j in range(4) if (i, j) not in _X_POSITIONS]
-    return float(np.linalg.norm(off))
+    return float(np.linalg.norm(u[_OFF_X]))
 
 
 def is_matchgate(u: np.ndarray, tol: float = CLIFFORD_TOL) -> bool:

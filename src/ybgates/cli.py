@@ -85,8 +85,11 @@ def parse_angle(v) -> float:
 
 
 def _parse_matrix(rows) -> np.ndarray:
-    arr = np.asarray(rows, dtype=float)
-    if arr.shape != (4, 4, 2):
+    try:
+        arr = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.shape != (4, 4, 2):
         raise InputError("matrix must be 4x4 of [re, im] pairs")
     m = arr[..., 0] + 1j * arr[..., 1]
     if not np.all(np.isfinite(arr)):
@@ -109,7 +112,7 @@ def load_spec(obj):
         return _parse_matrix(obj["matrix"]), None
     if key == "named":
         name = obj["named"]
-        if name not in _NAMED:
+        if not isinstance(name, str) or name not in _NAMED:
             raise InputError(f"unknown named gate {name!r}")
         return _NAMED[name]().copy(), None
     if key == "braid":
@@ -185,7 +188,7 @@ def build_report(u: np.ndarray, spec, seed: int, mc_samples: int, mu: float, nu:
         "mc_samples": mc_samples,
         "nonlocal": [float(x) for x in a],
         "location": weyl.chamber_location(a),
-        "entangling_power": float(weyl.entangling_power(u)),
+        "entangling_power": float(weyl.entangling_power_from_point(a)),
         "entangling_power_mc": float(weyl.entangling_power_mc(u, mc_samples, seed)),
         "min_cnot_count": int(weyl.min_cnot_count(a)),
         "classification": {
@@ -207,8 +210,7 @@ def build_report(u: np.ndarray, spec, seed: int, mc_samples: int, mu: float, nu:
 def cmd_analyze(args) -> int:
     u, spec = _read_spec_file(args.spec)
     report = build_report(u, spec, _seed(args), args.mc_samples, args.mu, args.nu)
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report, indent=2) + "\n")
     return 0
 
 

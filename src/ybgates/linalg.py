@@ -31,6 +31,11 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
 
 
+# The two-qubit Pauli strings sigma_mu (x) sigma_nu at index 4 mu + nu.
+PAULI_STRINGS = np.array([kron(p, q) for p in PAULIS for q in PAULIS])
+PAULI_STRINGS.setflags(write=False)
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(np.asarray(m)).T
 

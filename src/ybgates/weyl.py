@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULIS, dagger, frob, is_unitary, kron, phase_distance, sym_unitary_eig
+from .linalg import PAULI_STRINGS, dagger, frob, is_unitary, kron, phase_distance, sym_unitary_eig
 
 CHAMBER_TOL = 1e-7
 
@@ -292,11 +292,10 @@ def entangling_power_from_point(a):
     return (2 / 9) * (1 - (c[..., 0] * c[..., 1] * c[..., 2] + s[..., 0] * s[..., 1] * s[..., 2]))
 
 
-# Two-qubit Paulis sigma_mu (x) sigma_nu at index 4 mu + nu, and the
-# symmetric form with psi^T E psi = psi00 psi11 - psi01 psi10.
-_PAULI_PAIRS = np.array([kron(p, q) for p in PAULIS for q in PAULIS])
-_PAULI_PAIRS.setflags(write=False)
+# The symmetric form with psi^T E psi = psi00 psi11 - psi01 psi10.
 _DET_FORM = np.array([[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]]) / 2
+# Row a is vec(P_a^T), so (_PAULI_T @ vec(G))_a = tr(G P_a).
+_PAULI_T = PAULI_STRINGS.transpose(0, 2, 1).reshape(16, 16)
 # samples per block when the draws are reduced to moments
 _MC_CHUNK = 2048
 
@@ -320,12 +319,16 @@ def _bloch_columns(x: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _mc_moments(n: int, seed: int) -> np.ndarray:
-    """Read-only M = mean e e^T over the n seeded product states.
+def _mc_moments(n: int, seed: int):
+    """Read-only (M, L, K) for the n seeded product states.
 
-    e = v_a (x) v_b is the real 16-vector of a sample's two Bloch columns,
-    so rho_a (x) rho_b = sum_alpha e_alpha P_alpha / 4.  The draws are
-    reduced in blocks of _MC_CHUNK samples, so no (16, n) array is formed.
+    M = mean e e^T, where e = v_a (x) v_b is the real 16-vector of a
+    sample's two Bloch columns, so rho_a (x) rho_b = sum_alpha e_alpha
+    P_alpha / 4.  The draws are reduced in blocks of _MC_CHUNK samples,
+    so no (16, n) array is formed.  L and K fold the Pauli strings into M:
+
+        L = Pt^T M Pt / 16,  Pt[a] = vec(P_a^T),
+        K[(i, l), (j, k)] = sum_ab M_ab P_a[j, i] P_b[k, l] / 16.
     """
     x = np.random.default_rng(seed).standard_normal((2, 2, n, 2))
     m = np.zeros((16, 16))
@@ -334,8 +337,12 @@ def _mc_moments(n: int, seed: int) -> np.ndarray:
         e = (v[0, :, None] * v[1, None, :]).reshape(16, -1)
         m += e @ e.T
     m /= n
-    m.setflags(write=False)
-    return m
+    l = _PAULI_T.T @ m @ _PAULI_T / 16
+    k = np.einsum("aji,akl->iljk", PAULI_STRINGS, np.tensordot(m, PAULI_STRINGS, 1))
+    k = k.reshape(16, 16) / 16
+    for t in (m, l, k):
+        t.setflags(write=False)
+    return m, l, k
 
 
 def entangling_power_mc(u: np.ndarray, n: int, seed: int = 0) -> float:
@@ -350,22 +357,21 @@ def entangling_power_mc(u: np.ndarray, n: int, seed: int = 0) -> float:
         (c . e)^2 - 2 e^T N e,   c = tr(G P)/4,  G = u^dag u,
                                  N = Re tr(P^T Q P Q^dag)/16,  Q = u^T E u,
 
-    an identity for any u, unitary or not.  So the estimate is
-    1 - c^T M c + 2 <N, M> with M = mean e e^T, which depends on (n, seed)
-    only and is computed once and cached; a seed gives the mean of the
-    per-sample purities up to rounding.  The seed must be an integer
-    (operator.index): None, a Generator or a float raises TypeError, and a
-    negative seed raises ValueError.
+    an identity for any u, unitary or not.  Averaged with M = mean e e^T,
+    c^T M c = g^T L g and <N, M> = Re q^dag K q for g = vec(G), q = vec(Q),
+    so the estimate is 1 - g^T L g + 2 Re q^dag K q.  M, L and K depend on
+    (n, seed) only and are computed once and cached; a seed gives the mean
+    of the per-sample purities up to rounding.  The seed must be an
+    integer (operator.index): None, a Generator or a float raises
+    TypeError, and a negative seed raises ValueError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    m = _mc_moments(int(n), operator.index(seed))
+    _, l, k = _mc_moments(int(n), operator.index(seed))
     u = np.asarray(u, dtype=complex)
-    c = np.einsum("aji,ij->a", _PAULI_PAIRS, dagger(u) @ u).real / 4
-    q = u.T @ _DET_FORM @ u
-    qpq = q @ _PAULI_PAIRS @ dagger(q)
-    nq = (_PAULI_PAIRS.reshape(16, 16) @ qpq.reshape(16, 16).T).real / 16
-    return float(1.0 - c @ m @ c + 2.0 * np.sum(nq * m))
+    g = (dagger(u) @ u).ravel()
+    q = (u.T @ _DET_FORM @ u).ravel()
+    return float(1.0 - (g @ l @ g).real + 2.0 * (q.conj() @ k @ q).real)
 
 
 def min_cnot_count(a, tol: float = CHAMBER_TOL) -> int:

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
 from ybgates.baxterize import YbSpec, build_yb
@@ -16,6 +19,7 @@ from ybgates.classify import (
     predict_conditions,
     reshuffle,
 )
+from ybgates.linalg import I2, PAULIS, SX, SZ, frob, kron
 from ybgates.synth import GateOp
 from ybgates.weyl import CNOT, ISWAP, SWAP, core_gate, extract_nonlocal
 
@@ -48,6 +52,59 @@ def test_clifford_table_structure():
     t = clifford_table(CNOT)
     assert t["XI"][0] == "XX" and abs(t["XI"][2]) < 1e-12
     assert t["IZ"][0] == "ZZ" and abs(t["IZ"][2]) < 1e-12
+
+
+_REF_GENERATORS = (("XI", kron(SX, I2)), ("ZI", kron(SZ, I2)), ("IX", kron(I2, SX)), ("IZ", kron(I2, SZ)))
+_REF_STRINGS = [
+    (a + b, kron(p, q)) for (a, p), (b, q) in itertools.product(zip("IXYZ", PAULIS), repeat=2)
+]
+
+
+def reference_clifford_table(u):
+    """The nearest signed Pauli string of each generator image, one generator at a time."""
+    table = {}
+    for name, g in _REF_GENERATORS:
+        m = u @ g @ u.conj().T
+        t = np.array([np.trace(p.conj().T @ m) / 4 for _, p in _REF_STRINGS])
+        k = int(np.argmax(np.maximum(np.abs(t.real), np.abs(t.imag))))
+        ph = min((1, 1j, -1, -1j), key=lambda c: abs(t[k] - c))
+        table[name] = (_REF_STRINGS[k][0], ph, frob(m - ph * _REF_STRINGS[k][1]))
+    return table
+
+
+def _check_table_matches_reference(u):
+    got, want = clifford_table(u), reference_clifford_table(u)
+    assert list(got) == list(want)
+    for name, (label, ph, r) in want.items():
+        assert got[name][:2] == (label, ph)
+        assert abs(got[name][2] - r) <= 1e-12
+    assert is_clifford(u) == all(r <= 1e-8 for _, _, r in want.values())
+
+
+_CZ = np.diag([1, 1, 1, -1]).astype(complex)
+clifford_ops = st.one_of(
+    st.builds(GateOp, st.sampled_from(["H", "S"]), st.sampled_from([(0,), (1,)])),
+    st.builds(GateOp, st.just("CNOT"), st.sampled_from([(0, 1), (1, 0)])),
+)
+
+
+@given(st.lists(clifford_ops, max_size=12), st.integers(0, 2**32 - 1), st.sampled_from([0, 1e-9, 1e-7]))
+def test_clifford_table_matches_per_generator_reference(ops, seed, eps):
+    """Products of H, S and CNOT, bare or moved by eps per entry."""
+    u = np.eye(4, dtype=complex)
+    for op in ops:
+        u = op.matrix() @ u
+    rng = np.random.default_rng(seed)
+    _check_table_matches_reference(u + eps * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))))
+
+
+def test_clifford_table_matches_reference_on_named_and_haar_gates():
+    rng = np.random.default_rng(5)
+    for u in (CNOT, SWAP, ISWAP, _CZ, np.eye(4)):
+        for eps in (0, 1e-9, 1e-7):
+            _check_table_matches_reference(u + eps * rng.standard_normal((4, 4)))
+    for _ in range(50):
+        _check_table_matches_reference(unitary_group.rvs(4, random_state=rng))
 
 
 def test_matchgate_examples():

@@ -1,11 +1,21 @@
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.stats import unitary_group
 
 import ybgates
-from ybgates import cli
+from ybgates import braid, cli, weyl
 from ybgates.linalg import phase_distance
 from ybgates.synth import Circuit, GateOp, evaluate
 from ybgates.weyl import CNOT, SWAP
@@ -193,6 +203,49 @@ def test_analyze_schema_error(tmp_path, capsys):
     path = tmp_path / "nojson.json"
     path.write_text("{")
     assert run(capsys, "analyze", str(path))[0] == 2
+
+
+@pytest.mark.parametrize("spec", [{"matrix": {"a": 1}}, {"named": []}])
+def test_malformed_spec_value_exits_two(tmp_path, capsys, spec):
+    code, out, err = run(capsys, "analyze", write_spec(tmp_path, spec))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _pairs(u):
+    return [[[float(x.real), float(x.imag)] for x in row] for row in u]
+
+
+REPORT_SPECS = [{"named": name} for name in cli._NAMED] + [
+    {"matrix": _pairs(unitary_group.rvs(4, random_state=np.random.default_rng(s)))}
+    for s in range(3)
+] + [
+    {"matrix": _pairs(SWAP)},
+    {"braid": {"family": "I", "phi": [0.3, 1.2, 2.1, 0.5]}},
+    {"braid": {"family": "II", "phi": ["pi/4", 0.7, -1.1]}},
+    {"braid": {"family": "III", "phi": ["pi/8", 0.3]}},
+    {"braid": {"family": "IV", "phi": [0.9]}},
+    {"yb": {"family": "I", "kind": 1, "mu": 0.5, "phi": [0.3, 1.1, 2.0]}},
+    {"yb": {"family": "II", "kind": 3, "mu": -1.2, "phi": [0.4, 0.2, 1.3]}},
+    {"yb": {"family": "III", "kind": 2, "mu": 0.8, "phi": [0.6, "pi/2"]}},
+    {"yb": {"family": "IV", "chi": 0.4, "phi": [1.3]}},
+]
+
+
+@pytest.mark.parametrize("spec", REPORT_SPECS)
+def test_analyze_report_takes_entangling_power_from_the_point(capsys, monkeypatch, spec):
+    """The report prints build_report's dict in one JSON document, with the
+    entangling power of its chamber point and no second pass over the gate."""
+    u, parsed = cli.load_spec(spec)
+    ep = weyl.entangling_power(u)
+    want = json.dumps(cli.build_report(u, parsed, 5, 64, 0.5, 0.7), indent=2) + "\n"
+    calls = []
+    monkeypatch.setattr(weyl, "entangling_power", lambda *a: calls.append(a))
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(spec)))
+    code, out, _ = run(capsys, "analyze", "-", "--seed", "5", "--mc-samples", "64")
+    assert code == 0 and calls == []
+    assert out == want
+    assert abs(json.loads(out)["entangling_power"] - ep) <= 1e-15
 
 
 def test_analyze_non_unitary(tmp_path, capsys):
@@ -387,3 +440,85 @@ def test_repeated_main_calls_share_one_parser(tmp_path, capsys, monkeypatch):
         assert bad[0] == 2 and bad[1] == ""
         again = run(capsys, *argv)
         assert again[:2] == first[:2]
+
+
+# --- input contract --------------------------------------------------------
+
+json_leaves = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=12,
+)
+angles = st.one_of(
+    st.floats(-10, 10),
+    st.sampled_from(["pi/2", "-3pi/4", "2*pi/3", "pi/0", "1e400", "nan", "x"]),
+    json_values,
+)
+angle_lists = st.lists(st.floats(-10, 10), min_size=1, max_size=4) | st.lists(angles, max_size=5) | json_values
+matrices = st.lists(
+    st.lists(st.lists(st.floats() | json_leaves, min_size=2, max_size=2) | json_values,
+             min_size=4, max_size=4),
+    min_size=4, max_size=4,
+)
+families = st.sampled_from(braid.FAMILIES) | json_values
+yb_fields = {
+    "kind": st.integers(0, 4) | json_values,
+    "mu": angles,
+    "chi": angles,
+}
+spec_bodies = {
+    "matrix": matrices | json_values,
+    "named": st.sampled_from(sorted(cli._NAMED)) | json_values,
+    "braid": st.fixed_dictionaries({"family": families, "phi": angle_lists})
+    | st.fixed_dictionaries({}, optional={"family": families, "phi": angle_lists, "x": json_values})
+    | json_values,
+    "yb": st.fixed_dictionaries({"family": families, "phi": angle_lists}, optional=yb_fields)
+    | st.fixed_dictionaries({}, optional={"family": families, "phi": angle_lists, **yb_fields})
+    | json_values,
+}
+# one spec key, with stray keys (maybe another spec key) beside it
+keyed_specs = st.sampled_from(sorted(spec_bodies)).flatmap(
+    lambda key: st.builds(
+        lambda body, stray: {**stray, key: body},
+        spec_bodies[key],
+        st.dictionaries(st.sampled_from(["bogus", "", "named"]), json_values, max_size=1),
+    )
+)
+commands = st.one_of(
+    st.builds(
+        lambda n, seed: ["analyze", "-", "--mc-samples", str(n), "--seed", str(seed)],
+        st.integers(1, 64),
+        st.integers(0, 3),
+    ),
+    st.just(["verify", "-"]),
+    st.just(["synth", "-"]),
+)
+
+
+@settings(max_examples=300)
+@given(commands, keyed_specs | json_values)
+@example(["analyze", "-", "--mc-samples", "8", "--seed", "0"], {"matrix": {"a": 1}})
+@example(["analyze", "-", "--mc-samples", "8", "--seed", "0"], {"named": []})
+def test_cli_survives_arbitrary_spec_json(argv, spec):
+    """Any JSON spec ends in a documented exit code with at most one stderr line."""
+    out, err = io.StringIO(), io.StringIO()
+    with (
+        mock.patch("sys.stdin", io.StringIO(json.dumps(spec))),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3, 4)
+    assert err.getvalue().count("\n") <= 1
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(ybgates.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ybgates", "analyze", "-"],
+        input=json.dumps({"named": "cnot"}), capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["min_cnot_count"] == 1

@@ -356,6 +356,23 @@ def test_extract_nonlocal_local_invariance():
         assert np.allclose(a, b, atol=1e-7)
 
 
+def _same_point_up_to_base(a, b, tol):
+    """Max-norm distance within tol, with [a1, a2, a3] ~ [pi - a1, a2, -a3]
+    in the base band, where the fold threshold can go either way."""
+    d = np.max(np.abs(a - b))
+    if min(abs(a[2]), abs(b[2])) <= weyl.CHAMBER_TOL + 1e-9:
+        d = min(d, max(abs(a[0] - (PI - b[0])), abs(a[1] - b[1]), abs(a[2] + b[2])))
+    return d <= tol
+
+
+@given(boundary_points, seeds)
+@example((2.809247135682249, PI / 2, 1e-7), 47)
+def test_extract_nonlocal_local_invariance_on_boundary(raw, seed):
+    """Local dressing leaves the chamber point of a face, edge or vertex gate."""
+    g = core_gate(raw)
+    assert _same_point_up_to_base(extract_nonlocal(g), extract_nonlocal(_dressed(g, seed)), 1e-9)
+
+
 def test_entangling_power_formulas_agree():
     for _ in range(40):
         u = unitary_group.rvs(4, random_state=RNG)
@@ -440,11 +457,13 @@ def test_entangling_power_mc_cache_hit_matches_miss():
 
 @pytest.mark.parametrize("n", [1, 20000])
 def test_mc_moments_are_read_only_16x16(n):
-    m = weyl._mc_moments(n, 0)
+    m, l, k = weyl._mc_moments(n, 0)
     assert m.shape == (16, 16)
     assert m[0, 0] == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        m[0, 0] = 0.0
+    for t in (m, l, k):
+        assert t.shape == (16, 16)
+        with pytest.raises(ValueError):
+            t[0, 0] = 0.0
 
 
 def test_entangling_power_mc_seed_must_be_an_integer():
