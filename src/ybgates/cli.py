@@ -31,6 +31,10 @@ from . import __version__, baxterize, braid, classify, synth, weyl
 from .linalg import unitarity_residual
 
 UNITARY_TOL = 1e-6
+# Past this residual an admitted matrix is replaced by its polar factor.
+# Rounding leaves about 1e-15; kak_decompose fails from about 3e-10 on,
+# since its eigen-solve checks its reconstruction to 1e-9.
+POLAR_TOL = 1e-12
 DEFAULT_SEED_ENV = "GATE_TOOL_SEED"
 
 _NAMED = {
@@ -154,11 +158,20 @@ def _read_spec_file(path: str):
     return load_spec(obj)
 
 
-def _require_unitary(u: np.ndarray) -> float:
+def _require_unitary(u: np.ndarray):
+    """(gate, residual) of an input matrix; exit 3 past UNITARY_TOL.
+
+    A residual in (POLAR_TOL, UNITARY_TOL] is admitted: the gate is then
+    the polar factor of u, the nearest unitary, and the residual is the one
+    of u.  Other inputs are returned as they are.
+    """
     res = unitarity_residual(u)
     if res > UNITARY_TOL:
         raise NonUnitaryError(f"matrix is not unitary (residual {res:.3e})")
-    return res
+    if res > POLAR_TOL:
+        w, _, vh = np.linalg.svd(u)
+        u = w @ vh
+    return u, res
 
 
 def _seed(args) -> int:
@@ -176,8 +189,10 @@ def _seed(args) -> int:
 
 
 def build_report(u: np.ndarray, spec, seed: int, mc_samples: int, mu: float, nu: float) -> dict:
-    ures = _require_unitary(u)
-    a = weyl.extract_nonlocal(u)
+    u, ures = _require_unitary(u)
+    # the exact image keeps a3 in [-CHAMBER_TOL, 0] on the base band;
+    # the reported point is clamped into the chamber
+    a = weyl.canonicalize(weyl.extract_nonlocal(u))
     cls = classify.classify_gate(u, spec)
     ybe = None
     if isinstance(spec, baxterize.YbSpec):
@@ -216,7 +231,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify(args) -> int:
     u, spec = _read_spec_file(args.spec)
-    _require_unitary(u)
+    u, _ = _require_unitary(u)
     lines = {}
     lines["braid_residual"] = braid.braid_residual(u)
     ok = lines["braid_residual"] <= args.threshold
@@ -266,11 +281,12 @@ def parse_circuit(text: str) -> synth.Circuit:
 
 def cmd_synth(args) -> int:
     u, spec = _read_spec_file(args.spec)
-    _require_unitary(u)
+    gate, _ = _require_unitary(u)
     if isinstance(spec, baxterize.YbSpec) and spec.family == "IV":
         c = synth.synth_riv(spec.phi[0], spec.chi)
     else:
-        c = synth.synth_general(u)
+        c = synth.synth_general(gate)
+    # the residual against the input as given
     res = synth.verify_circuit(c, u)
     text = format_circuit(c)
     if args.out:

@@ -40,6 +40,10 @@ _RZ_SIGNS = (np.array([-1, -1, 1, 1]), np.array([-1, 1, -1, 1]))
 # A CNOT permutes basis states: row order of CNOT @ m for each (control, target).
 _CNOT_ROWS = {(0, 1): (0, 1, 3, 2), (1, 0): (0, 3, 2, 1)}
 _ID_2X2 = (1 + 0j, 0j, 0j, 1 + 0j)
+# Every valid (kind, qubits) key, mapped to its qubits as Python ints.
+# Keys that compare equal (numpy ints, bools) find the same entry.
+_OP_QUBITS = {(kind, (q,)): (q,) for kind in _SINGLE_KINDS for q in (0, 1)}
+_OP_QUBITS.update({("CNOT", (0, 1)): (0, 1), ("CNOT", (1, 0)): (1, 0)})
 
 
 @dataclass(frozen=True)
@@ -49,17 +53,15 @@ class GateOp:
     angle: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        if self.kind == "CNOT":
-            c, t = self.qubits
-            if c == t:
-                raise ValueError("CNOT control and target must differ")
-        elif self.kind in _SINGLE_KINDS:
-            (q,) = self.qubits
-        else:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if any(q not in (0, 1) for q in self.qubits):
-            raise ValueError(f"qubit indices must be 0 or 1, got {self.qubits}")
+        # One lookup validates the key; a miss (a list, a float 1.5) is
+        # normalised to Python ints and looked up once more.
+        try:
+            qubits = _OP_QUBITS[self.kind, self.qubits]
+        except (KeyError, TypeError):
+            qubits = tuple(int(q) for q in self.qubits)
+            if self.kind not in _SINGLE_KINDS + ("CNOT",) or (self.kind, qubits) not in _OP_QUBITS:
+                raise ValueError(f"no gate {self.kind!r} on qubits {qubits}") from None
+        object.__setattr__(self, "qubits", qubits)
         if self.kind == "RZ":
             if self.angle is None or not math.isfinite(self.angle):
                 raise ValueError("RZ needs a finite angle")
@@ -75,6 +77,14 @@ class GateOp:
         if self.kind == "RZ":
             return np.diag(np.exp(0.5j * self.angle * _RZ_SIGNS[self.qubits[0]]))
         return _FIXED_OPS[self.kind, self.qubits]
+
+
+# One shared instance of every angle-free op: GateOp is frozen, so circuits
+# may hold the same instance any number of times.
+_SHARED_OPS = {key: GateOp(*key) for key in _FIXED_OPS}
+_H_OPS = (_SHARED_OPS["H", (0,)], _SHARED_OPS["H", (1,)])
+_CNOT_01 = _SHARED_OPS["CNOT", (0, 1)]
+_CNOT_10 = _SHARED_OPS["CNOT", (1, 0)]
 
 
 @dataclass
@@ -150,8 +160,7 @@ def euler_zxz(v: np.ndarray, tol: float = 1e-12):
     When the middle angle is 0 or pi within tol, gamma is set to 0 and
     folded into alpha.
     """
-    entries = np.asarray(v, dtype=complex).ravel().tolist()
-    v00, v01, v10, v11 = entries
+    v00, v01, v10, v11 = np.asarray(v, dtype=complex).ravel().tolist()
     root = cmath.sqrt(v00 * v11 - v01 * v10)
     w00, w01, w10 = v00 / root, v01 / root, v10 / root
     cb, sb = abs(w00), abs(w01)
@@ -169,10 +178,13 @@ def euler_zxz(v: np.ndarray, tol: float = 1e-12):
     # Rz(alpha) Rx(beta) Rz(gamma) = [[c p, -i s q], [-i s q*, c p*]]
     c, s = math.cos(beta / 2), math.sin(beta / 2)
     p, q = cmath.exp(-0.5j * (alpha + gamma)), cmath.exp(-0.5j * (alpha - gamma))
-    rec = (c * p, -1j * s * q, -1j * s * q.conjugate(), c * p.conjugate())
-    phase = cmath.phase(sum(r.conjugate() * x for r, x in zip(rec, entries)))
+    r00, r01, r10, r11 = c * p, -1j * s * q, -1j * s * q.conjugate(), c * p.conjugate()
+    phase = cmath.phase(r00.conjugate() * v00 + r01.conjugate() * v01
+                        + r10.conjugate() * v10 + r11.conjugate() * v11)
     e = cmath.exp(1j * phase)
-    if math.sqrt(sum(abs(x - e * r) ** 2 for r, x in zip(rec, entries))) > 1e-10:
+    err = (abs(v00 - e * r00) ** 2 + abs(v01 - e * r01) ** 2
+           + abs(v10 - e * r10) ** 2 + abs(v11 - e * r11) ** 2)
+    if math.sqrt(err) > 1e-10:
         raise ValueError("single-qubit Euler decomposition failed")
     return alpha, beta, gamma, phase
 
@@ -188,9 +200,10 @@ def _emit_local(ops: list, q: int, v: np.ndarray) -> float:
     alpha, beta, gamma, phase = euler_zxz(v)
     _emit_rz(ops, q, gamma)
     if abs(beta) > 1e-14:
-        ops.append(GateOp("H", (q,)))
+        h = _H_OPS[q]
+        ops.append(h)
         _emit_rz(ops, q, beta)
-        ops.append(GateOp("H", (q,)))
+        ops.append(h)
     _emit_rz(ops, q, alpha)
     return phase
 
@@ -199,7 +212,7 @@ def synth_zz(theta: float) -> Circuit:
     """Circuit for exp(-i theta/2 Z x Z) with two CNOTs."""
     if not math.isfinite(theta):
         raise ValueError("angle must be finite")
-    ops = [GateOp("CNOT", (0, 1)), GateOp("RZ", (1,), _wrap(theta)), GateOp("CNOT", (0, 1))]
+    ops = [_CNOT_01, GateOp("RZ", (1,), _wrap(theta)), _CNOT_01]
     return Circuit(ops)
 
 
@@ -214,23 +227,23 @@ def _core_template(a, n: int) -> list:
     a1, a2, a3 = (float(x) for x in a)
     if n == 0:
         return []
+    h0, h1 = _H_OPS
     if n == 1:
-        return [GateOp("CNOT", (0, 1))]
+        return [_CNOT_01]
     if n == 2:
         # CNOT (Rx(-a1) x Rz(-a2)) CNOT = exp(i/2 (a1 XX + a2 ZZ))
-        ops = [GateOp("CNOT", (0, 1)), GateOp("H", (0,))]
+        ops = [_CNOT_01, h0]
         _emit_rz(ops, 0, -a1)
-        ops.append(GateOp("H", (0,)))
+        ops.append(h0)
         _emit_rz(ops, 1, -a2)
-        ops.append(GateOp("CNOT", (0, 1)))
+        ops.append(_CNOT_01)
         return ops
-    ops = [GateOp("CNOT", (0, 1)), GateOp("H", (0,))]
+    ops = [_CNOT_01, h0]
     _emit_rz(ops, 0, math.pi / 2 - a2)
     _emit_rz(ops, 1, -a1)
-    ops.append(GateOp("CNOT", (0, 1)))
+    ops.append(_CNOT_01)
     _emit_rz(ops, 1, a3)
-    ops.append(GateOp("H", (1,)))
-    ops.append(GateOp("CNOT", (1, 0)))
+    ops += [h1, _CNOT_10]
     return ops
 
 
@@ -244,6 +257,8 @@ _TEMPLATE_FRAMES = {
     3: (_S @ _H @ SX @ _S @ _H, _SDG @ _H @ SX @ _S @ _H)
     + (SZ @ _H @ _S,) * 2 + (0.75 * math.pi,),
 }
+# (F1^dag, F2^dag, F3^dag, F4^dag, theta) of each skeleton.
+_FRAME_DAGGERS = {n: tuple(map(dagger, f[:4])) + f[4:] for n, f in _TEMPLATE_FRAMES.items()}
 
 
 def synth_general(u: np.ndarray) -> Circuit:
@@ -256,14 +271,14 @@ def synth_general(u: np.ndarray) -> Circuit:
     u = np.asarray(u, dtype=complex)
     ku = kak_decompose(u)
     n = min_cnot_count(ku.a)
-    f1, f2, f3, f4, theta = _TEMPLATE_FRAMES[n]
+    f1d, f2d, f3d, f4d, theta = _FRAME_DAGGERS[n]
     ops: list = []
     phase = ku.phase - theta
-    phase += _emit_local(ops, 0, dagger(f3) @ ku.v3)
-    phase += _emit_local(ops, 1, dagger(f4) @ ku.v4)
+    phase += _emit_local(ops, 0, f3d @ ku.v3)
+    phase += _emit_local(ops, 1, f4d @ ku.v4)
     ops.extend(_core_template(ku.a, n))
-    phase += _emit_local(ops, 0, ku.v1 @ dagger(f1))
-    phase += _emit_local(ops, 1, ku.v2 @ dagger(f2))
+    phase += _emit_local(ops, 0, ku.v1 @ f1d)
+    phase += _emit_local(ops, 1, ku.v2 @ f2d)
     c = Circuit(ops, _wrap(phase))
     res = verify_circuit(c, u)
     if res > 1e-7:
@@ -279,15 +294,10 @@ def synth_riv(phi1: float, chi: float) -> Circuit:
     ops: list = []
     _emit_rz(ops, 0, phi1 / 2)
     _emit_rz(ops, 1, phi1 / 2)
-    ops.append(GateOp("S", (0,)))
-    ops.append(GateOp("H", (0,)))
-    ops.append(GateOp("H", (1,)))
-    ops.append(GateOp("CNOT", (0, 1)))
+    h0, h1 = _H_OPS
+    ops += [_SHARED_OPS["S", (0,)], h0, h1, _CNOT_01]
     _emit_rz(ops, 1, 2 * chi)
-    ops.append(GateOp("CNOT", (0, 1)))
-    ops.append(GateOp("H", (0,)))
-    ops.append(GateOp("H", (1,)))
-    ops.append(GateOp("SDG", (0,)))
+    ops += [_CNOT_01, h0, h1, _SHARED_OPS["SDG", (0,)]]
     _emit_rz(ops, 0, -phi1 / 2)
     _emit_rz(ops, 1, -phi1 / 2)
     from .baxterize import YbSpec, build_yb

@@ -55,14 +55,14 @@ _PHASE_MAP = np.array([[1, -1, 1], [1, 1, -1], [-1, -1, -1], [-1, 1, 1]], dtype=
 def core_gate(a) -> np.ndarray:
     """exp(i/2 (a1 XX + a2 YY + a3 ZZ)) for arbitrary finite angles."""
     # The three terms commute and are diagonal in the magic basis.
-    d = _PHASE_MAP @ np.array([float(x) for x in a])
+    d = _PHASE_MAP @ np.asarray(a, dtype=float)
     return (_MAGIC * np.exp(0.5j * d)) @ _MAGIC_DAG
 
 
-def _magic_frame(u: np.ndarray) -> np.ndarray:
-    """The SU(4)-normalized gate in the magic basis."""
+def _magic_frame(u: np.ndarray, det=None) -> np.ndarray:
+    """The SU(4)-normalized gate in the magic basis; det is det(u) if known."""
     u = np.asarray(u, dtype=complex)
-    v = u * np.linalg.det(u) ** (-0.25)
+    v = u * (np.linalg.det(u) if det is None else det) ** (-0.25)
     return _MAGIC_DAG @ v @ _MAGIC
 
 
@@ -208,7 +208,7 @@ def _factor_local(k: np.ndarray):
     n = int(np.argmax(norms))
     b = r[n]
     a = r @ b.conj() / norms[n]
-    resid = frob(r - np.outer(a, b))
+    resid = frob(r - a[:, None] * b)
     if not resid <= 1e-7:
         raise ValueError(f"matrix is not a tensor product (residual {resid:.2e})")
     (a00, a01, a10, a11), (b00, b01, b10, b11) = a.tolist(), b.tolist()
@@ -236,7 +236,8 @@ def kak_decompose(u: np.ndarray) -> KakDecomposition:
     u = np.asarray(u, dtype=complex)
     if not is_unitary(u, 1e-8):
         raise ValueError("kak_decompose requires a unitary input")
-    ubar = _magic_frame(u)
+    det = np.linalg.det(u)
+    ubar = _magic_frame(u, det)
     angles, p = sym_unitary_eig(ubar.T @ ubar)
     a = _chamber_point(angles)
     d = _PHASE_MAP @ a
@@ -249,7 +250,7 @@ def kak_decompose(u: np.ndarray) -> KakDecomposition:
     left = (ubar @ p * np.exp(-1j * (d / 2 + theta))).real
     v1, v2, p1 = _factor_local(_MAGIC @ left @ _MAGIC_DAG)
     v3, v4, p2 = _factor_local(_MAGIC @ p.T @ _MAGIC_DAG)
-    phase = theta + cmath.phase(np.linalg.det(u) ** 0.25) + p1 + p2
+    phase = theta + cmath.phase(det ** 0.25) + p1 + p2
     phase = float(phase % (2 * math.pi))
     dec = KakDecomposition(v1, v2, v3, v4, a, phase)
     resid = phase_distance(dec.reconstruct(), u)

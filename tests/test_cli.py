@@ -16,7 +16,7 @@ from scipy.stats import unitary_group
 
 import ybgates
 from ybgates import braid, cli, weyl
-from ybgates.linalg import phase_distance
+from ybgates.linalg import phase_distance, unitarity_residual
 from ybgates.synth import Circuit, GateOp, evaluate
 from ybgates.weyl import CNOT, SWAP
 
@@ -511,6 +511,50 @@ def test_cli_survives_arbitrary_spec_json(argv, spec):
         code = cli.main(argv)
     assert code in (0, 1, 2, 3, 4)
     assert err.getvalue().count("\n") <= 1
+
+
+def _near_unitary(residual, seed):
+    """A matrix with unitarity residual about `residual`: the identity scaled
+    by 1 + residual / 4 (seed None), or a Haar gate times I + residual / 2 H
+    with H Hermitian of unit norm."""
+    if seed is None:
+        return np.eye(4, dtype=complex) * (1 + residual / 4)
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = h + h.conj().T
+    return unitary_group.rvs(4, random_state=rng) @ (np.eye(4) + residual / 2 * h / np.linalg.norm(h))
+
+
+@settings(max_examples=60)
+@given(st.floats(-9, -5.7), st.none() | st.integers(0, 2**32 - 1), st.sampled_from(["analyze", "synth"]))
+@example(math.log10(2e-7), None, "analyze")
+@example(math.log10(2e-7), None, "synth")
+def test_near_unitary_matrix_gets_a_report_or_a_circuit(log_residual, seed, command):
+    """Residuals up to UNITARY_TOL exit 0, past the library's 1e-8 too; above, exit 3."""
+    rows = [[[float(z.real), float(z.imag)] for z in row]
+            for row in _near_unitary(10.0**log_residual, seed)]
+    m = np.array([[complex(*z) for z in row] for row in rows])
+    res = unitarity_residual(m)
+    argv = ["analyze", "-", "--mc-samples", "16"] if command == "analyze" else ["synth", "-"]
+    out, err = io.StringIO(), io.StringIO()
+    with (
+        mock.patch("sys.stdin", io.StringIO(json.dumps({"matrix": rows}))),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        code = cli.main(argv)
+    if res > cli.UNITARY_TOL:
+        assert code == 3 and "not unitary" in err.getvalue()
+        return
+    assert code == 0, err.getvalue()
+    if command == "analyze":
+        report = json.loads(out.getvalue())
+        assert report["residuals"]["unitarity"] == res
+        assert report["min_cnot_count"] == (0 if seed is None else 3)
+    else:
+        c = cli.parse_circuit(out.getvalue())
+        assert c.cnot_count == (0 if seed is None else 3)
+        assert phase_distance(evaluate(c), m) <= 1e-6
 
 
 def test_python_dash_m_runs_the_cli():

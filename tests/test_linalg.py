@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import unitary_group
 
 from ybgates.linalg import (
@@ -96,3 +99,20 @@ def test_sym_unitary_eig_rejects_bad_input():
 def test_dagger_and_paulis():
     assert frob(dagger(SX) - SX) == 0.0
     assert frob(SX @ SZ + SZ @ SX) == 0.0
+
+
+complex_matrices = st.sampled_from([2, 4, 8]).flatmap(
+    lambda n: arrays(complex, (n, n), elements=st.complex_numbers(
+        max_magnitude=1e100, allow_nan=False, allow_infinity=False))
+)
+
+
+@given(complex_matrices)
+def test_frob_matches_numpy_norm(m):
+    assert abs(frob(m) - np.linalg.norm(m)) <= 1e-15 * np.linalg.norm(m)
+    assert type(frob(m)) is float
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_frob_of_zero_matrix_is_exactly_zero(n):
+    assert frob(np.zeros((n, n), dtype=complex)) == 0.0

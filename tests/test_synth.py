@@ -1,10 +1,11 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
@@ -12,6 +13,7 @@ from ybgates.baxterize import YbSpec, build_yb
 from ybgates.braid import BraidSpec, build_braid
 from ybgates.linalg import I2, SZ, frob, kron, phase_distance
 from ybgates.synth import (
+    _SHARED_OPS,
     _TEMPLATE_FRAMES,
     Circuit,
     GateOp,
@@ -23,7 +25,15 @@ from ybgates.synth import (
     synth_zz,
     verify_circuit,
 )
-from ybgates.weyl import CNOT, SWAP, canonicalize, core_gate, extract_nonlocal, min_cnot_count
+from ybgates.weyl import (
+    CHAMBER_TOL,
+    CNOT,
+    SWAP,
+    canonicalize,
+    core_gate,
+    extract_nonlocal,
+    min_cnot_count,
+)
 
 RNG = np.random.default_rng(47)
 PI = math.pi
@@ -125,6 +135,38 @@ def test_gateop_validation():
         GateOp("H", (0,), 0.3)
     with pytest.raises(ValueError):
         GateOp("Q", (0,))
+
+
+@pytest.mark.parametrize("qubits", [[0, 1], (np.int64(0), np.int8(1)), (False, True), np.array([0, 1])])
+def test_gateop_normalises_qubits(qubits):
+    """Lists, numpy ints and bools for (0, 1) become a tuple of Python ints."""
+    control, target = qubits
+    for op, want in ((GateOp("CNOT", qubits), (0, 1)), (GateOp("RZ", [target], 0.3), (1,)),
+                     (GateOp("H", (control,)), (0,))):
+        assert type(op.qubits) is tuple and op.qubits == want
+        assert all(type(q) is int for q in op.qubits)
+    with pytest.raises(ValueError):
+        GateOp("CNOT", [control, control])
+    with pytest.raises(ValueError):
+        GateOp("H", list(qubits))
+
+
+def test_shared_ops_equal_fresh_ones_and_are_frozen():
+    assert set(_SHARED_OPS) == {(k, (q,)) for k in ("H", "S", "SDG", "T", "TDG") for q in (0, 1)} | {
+        ("CNOT", (0, 1)), ("CNOT", (1, 0))}
+    for (kind, qubits), op in _SHARED_OPS.items():
+        assert op == GateOp(kind, qubits)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.qubits = (1,)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.angle = 0.3
+    # every angle-free op that synthesis emits is a shared instance
+    shared = {id(op) for op in _SHARED_OPS.values()}
+    circuits = [synth_general(unitary_group.rvs(4, random_state=RNG)), synth_zz(0.3),
+                synth_riv(1.3, 0.6), synth_general(SWAP)]
+    for c in circuits:
+        for op in c.ops:
+            assert op.kind == "RZ" or id(op) in shared, op
 
 
 def test_s_t_rz_interchangeability():
@@ -314,3 +356,48 @@ def test_synth_riv():
     assert phase_distance(
         evaluate(synth_riv(0.0, PI / 4)), build_braid(BraidSpec("IV", (0.0,)))
     ) < 1e-10
+
+
+def per_op_unitary(c: Circuit) -> np.ndarray:
+    """The circuit as a product of 4x4 op matrices built here, with its phase."""
+    cnots = {(0, 1): CNOT, (1, 0): SWAP @ CNOT @ SWAP}
+    u = np.eye(4, dtype=complex)
+    for op in c.ops:
+        if op.kind == "CNOT":
+            g = cnots[op.qubits]
+        else:
+            g2 = rz_matrix(op.angle) if op.kind == "RZ" else _GATES_2X2[op.kind]
+            g = np.kron(g2, I2) if op.qubits == (0,) else np.kron(I2, g2)
+        u = g @ u
+    return cmath.exp(1j * c.phase) * u
+
+
+def _cell_point(vertices, weights):
+    """Barycentric point of the chamber cell spanned by the given vertices:
+    one vertex, an edge, or a face."""
+    w = np.zeros(4)
+    for i, x in zip(sorted(vertices), weights):
+        w[i] = x
+    return tuple(w @ _VERTICES / w.sum())
+
+
+cell_points = st.builds(_cell_point, st.sets(st.integers(0, 3), min_size=1, max_size=3),
+                        st.lists(st.floats(0.05, 1), min_size=3, max_size=3))
+# 0 < a3 < CHAMBER_TOL with a1 > pi/2: the base fold flips a3 and KAK keeps -a3
+base_band_points = st.builds(
+    lambda s, t, z: (PI / 2 + PI / 2 * s, PI / 2 * (1 - s) * t, 0.9 * CHAMBER_TOL * z),
+    st.floats(0.01, 0.99), st.floats(0, 1), st.floats(0.01, 1),
+)
+
+
+@given(st.one_of(cell_points, base_band_points), seeds, seeds)
+@example((2.0, 0.5, 5e-8), 0, 1)
+@example((PI / 2, 0.0, 0.0), 2, 3)
+@example((PI / 2, PI / 2, PI / 2), 4, 5)
+def test_synth_general_on_dressed_boundary_points(raw, left, right):
+    """Faces, edges, vertices and the base band: the circuit, multiplied out
+    op by op, is the gate with its phase, with the minimal CNOT count."""
+    u = _local(left) @ core_gate(raw) @ _local(right)
+    c = synth_general(u)
+    assert frob(per_op_unitary(c) - u) <= 1e-7
+    assert c.cnot_count == min_cnot_count(extract_nonlocal(u))

@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
-from ybgates import braid, weyl
+from ybgates import braid, cli, weyl
 from ybgates.linalg import SX, SY, SZ, frob, kron, phase_distance, unitarity_residual
 from ybgates.weyl import (
     CNOT,
@@ -292,9 +292,31 @@ boundary_points = st.builds(lambda f, s, t: f(s, t), st.sampled_from(_BOUNDARY),
 @given(boundary_points, seeds)
 @example((2.0, 0.5, 5e-8), 0)
 def test_extract_nonlocal_matches_kak_on_dressed_boundary_points(raw, seed):
-    """The eigenvalue-only chamber point equals the one KAK reports."""
+    """The eigenvalue-only chamber point equals the one KAK reports.
+
+    Band rule: both are the exact Weyl image.  On the base band, a3 within
+    CHAMBER_TOL of 0 with a1 > pi/2, the base fold gives [pi - a1, a2, -a3]
+    and keeps a3 <= 0 unclamped, because KAK's 1e-8 reconstruction check is
+    tighter than CHAMBER_TOL.  Only the point `analyze` reports is clamped
+    (see test_reported_point_is_in_the_chamber).
+    """
     u = _dressed(core_gate(raw), seed)
     assert _same_point(extract_nonlocal(u), kak_decompose(u).a, 1e-12)
+
+
+@given(boundary_points, seeds)
+@example((2.0, 0.5, 5e-8), 0)
+@example((PI / 2 + 1e-9, 0.2, weyl.CHAMBER_TOL), 1)
+def test_reported_point_is_in_the_chamber(raw, seed):
+    """The analyze report clamps the exact image into the chamber, moving it
+    by at most CHAMBER_TOL, and the bare base-band gate reports a3 = 0."""
+    for u in (core_gate(raw), _dressed(core_gate(raw), seed)):
+        reported = np.array(cli.build_report(u, None, 0, 16, 0.5, 0.7)["nonlocal"])
+        assert in_chamber(reported, tol=1e-9)
+        assert _same_point_up_to_base(reported, extract_nonlocal(u), weyl.CHAMBER_TOL)
+    bare = np.array(cli.build_report(core_gate(raw), None, 0, 16, 0.5, 0.7)["nonlocal"])
+    if extract_nonlocal(core_gate(raw))[2] < 0:
+        assert bare[2] == 0.0
 
 
 @given(seeds, st.floats(-PI, PI))
