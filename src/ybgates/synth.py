@@ -81,7 +81,7 @@ class GateOp:
 
 # One shared instance of every angle-free op: GateOp is frozen, so circuits
 # may hold the same instance any number of times.
-_SHARED_OPS = {key: GateOp(*key) for key in _FIXED_OPS}
+_SHARED_OPS = {key: GateOp(*key) for key in _OP_QUBITS if key[0] != "RZ"}
 _H_OPS = (_SHARED_OPS["H", (0,)], _SHARED_OPS["H", (1,)])
 _CNOT_01 = _SHARED_OPS["CNOT", (0, 1)]
 _CNOT_10 = _SHARED_OPS["CNOT", (1, 0)]
