@@ -189,10 +189,12 @@ def _seed(args) -> int:
 
 
 def build_report(u: np.ndarray, spec, seed: int, mc_samples: int, mu: float, nu: float) -> dict:
-    u, ures = _require_unitary(u)
-    # the exact image keeps a3 in [-CHAMBER_TOL, 0] on the base band;
+    gate, ures = _require_unitary(u)
+    # the chamber point, and what is read off it, is of the nearest unitary;
+    # residuals, classification and the Monte Carlo estimate are of u.
+    # The exact image keeps a3 in [-CHAMBER_TOL, 0] on the base band;
     # the reported point is clamped into the chamber
-    a = weyl.canonicalize(weyl.extract_nonlocal(u))
+    a = weyl.canonicalize(weyl.extract_nonlocal(gate))
     cls = classify.classify_gate(u, spec)
     ybe = None
     if isinstance(spec, baxterize.YbSpec):
@@ -231,7 +233,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify(args) -> int:
     u, spec = _read_spec_file(args.spec)
-    u, _ = _require_unitary(u)
+    _require_unitary(u)
     lines = {}
     lines["braid_residual"] = braid.braid_residual(u)
     ok = lines["braid_residual"] <= args.threshold

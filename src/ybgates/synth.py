@@ -82,9 +82,6 @@ class GateOp:
 # One shared instance of every angle-free op: GateOp is frozen, so circuits
 # may hold the same instance any number of times.
 _SHARED_OPS = {key: GateOp(*key) for key in _OP_QUBITS if key[0] != "RZ"}
-_H_OPS = (_SHARED_OPS["H", (0,)], _SHARED_OPS["H", (1,)])
-_CNOT_01 = _SHARED_OPS["CNOT", (0, 1)]
-_CNOT_10 = _SHARED_OPS["CNOT", (1, 0)]
 
 
 @dataclass
@@ -200,7 +197,7 @@ def _emit_local(ops: list, q: int, v: np.ndarray) -> float:
     alpha, beta, gamma, phase = euler_zxz(v)
     _emit_rz(ops, q, gamma)
     if abs(beta) > 1e-14:
-        h = _H_OPS[q]
+        h = _SHARED_OPS["H", (q,)]
         ops.append(h)
         _emit_rz(ops, q, beta)
         ops.append(h)
@@ -212,7 +209,8 @@ def synth_zz(theta: float) -> Circuit:
     """Circuit for exp(-i theta/2 Z x Z) with two CNOTs."""
     if not math.isfinite(theta):
         raise ValueError("angle must be finite")
-    ops = [_CNOT_01, GateOp("RZ", (1,), _wrap(theta)), _CNOT_01]
+    cx = _SHARED_OPS["CNOT", (0, 1)]
+    ops = [cx, GateOp("RZ", (1,), _wrap(theta)), cx]
     return Circuit(ops)
 
 
@@ -227,23 +225,24 @@ def _core_template(a, n: int) -> list:
     a1, a2, a3 = (float(x) for x in a)
     if n == 0:
         return []
-    h0, h1 = _H_OPS
+    cx = _SHARED_OPS["CNOT", (0, 1)]
+    h0 = _SHARED_OPS["H", (0,)]
     if n == 1:
-        return [_CNOT_01]
+        return [cx]
     if n == 2:
         # CNOT (Rx(-a1) x Rz(-a2)) CNOT = exp(i/2 (a1 XX + a2 ZZ))
-        ops = [_CNOT_01, h0]
+        ops = [cx, h0]
         _emit_rz(ops, 0, -a1)
         ops.append(h0)
         _emit_rz(ops, 1, -a2)
-        ops.append(_CNOT_01)
+        ops.append(cx)
         return ops
-    ops = [_CNOT_01, h0]
+    ops = [cx, h0]
     _emit_rz(ops, 0, math.pi / 2 - a2)
     _emit_rz(ops, 1, -a1)
-    ops.append(_CNOT_01)
+    ops.append(cx)
     _emit_rz(ops, 1, a3)
-    ops += [h1, _CNOT_10]
+    ops += [_SHARED_OPS["H", (1,)], _SHARED_OPS["CNOT", (1, 0)]]
     return ops
 
 
@@ -294,10 +293,10 @@ def synth_riv(phi1: float, chi: float) -> Circuit:
     ops: list = []
     _emit_rz(ops, 0, phi1 / 2)
     _emit_rz(ops, 1, phi1 / 2)
-    h0, h1 = _H_OPS
-    ops += [_SHARED_OPS["S", (0,)], h0, h1, _CNOT_01]
+    h0, h1, cx = _SHARED_OPS["H", (0,)], _SHARED_OPS["H", (1,)], _SHARED_OPS["CNOT", (0, 1)]
+    ops += [_SHARED_OPS["S", (0,)], h0, h1, cx]
     _emit_rz(ops, 1, 2 * chi)
-    ops += [_CNOT_01, h0, h1, _SHARED_OPS["SDG", (0,)]]
+    ops += [cx, h0, h1, _SHARED_OPS["SDG", (0,)]]
     _emit_rz(ops, 0, -phi1 / 2)
     _emit_rz(ops, 1, -phi1 / 2)
     from .baxterize import YbSpec, build_yb

@@ -59,11 +59,9 @@ def core_gate(a) -> np.ndarray:
     return (_MAGIC * np.exp(0.5j * d)) @ _MAGIC_DAG
 
 
-def _magic_frame(u: np.ndarray, det=None) -> np.ndarray:
-    """The SU(4)-normalized gate in the magic basis; det is det(u) if known."""
-    u = np.asarray(u, dtype=complex)
-    v = u * (np.linalg.det(u) if det is None else det) ** (-0.25)
-    return _MAGIC_DAG @ v @ _MAGIC
+def _magic_frame(u: np.ndarray, det) -> np.ndarray:
+    """The SU(4)-normalized gate in the magic basis, given det = det(u)."""
+    return _MAGIC_DAG @ (u * det ** (-0.25)) @ _MAGIC
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +265,7 @@ def extract_nonlocal(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if not is_unitary(u, 1e-8):
         raise ValueError("extract_nonlocal requires a unitary input")
-    ubar = _magic_frame(u)
+    ubar = _magic_frame(u, np.linalg.det(u))
     return _chamber_point(np.angle(np.linalg.eigvals(ubar.T @ ubar)))
 
 
@@ -280,7 +278,7 @@ def entangling_power(u: np.ndarray) -> float:
     u = np.asarray(u, dtype=complex)
     if not is_unitary(u, 1e-8):
         raise ValueError("entangling_power requires a unitary input")
-    uq = _magic_frame(u)
+    uq = _magic_frame(u, np.linalg.det(u))
     tr = np.trace(uq.T @ uq)
     ep = (2 / 9) * (1 - abs(tr) ** 2 / 16)
     return float(min(max(ep, 0.0), 2 / 9))

@@ -525,17 +525,10 @@ def _near_unitary(residual, seed):
     return unitary_group.rvs(4, random_state=rng) @ (np.eye(4) + residual / 2 * h / np.linalg.norm(h))
 
 
-@settings(max_examples=60)
-@given(st.floats(-9, -5.7), st.none() | st.integers(0, 2**32 - 1), st.sampled_from(["analyze", "synth"]))
-@example(math.log10(2e-7), None, "analyze")
-@example(math.log10(2e-7), None, "synth")
-def test_near_unitary_matrix_gets_a_report_or_a_circuit(log_residual, seed, command):
-    """Residuals up to UNITARY_TOL exit 0, past the library's 1e-8 too; above, exit 3."""
-    rows = [[[float(z.real), float(z.imag)] for z in row]
-            for row in _near_unitary(10.0**log_residual, seed)]
-    m = np.array([[complex(*z) for z in row] for row in rows])
-    res = unitarity_residual(m)
-    argv = ["analyze", "-", "--mc-samples", "16"] if command == "analyze" else ["synth", "-"]
+def _run_matrix(argv, m):
+    """(exit code, stdout, stderr) of the CLI on {"matrix": m} read from stdin,
+    and the matrix as the CLI parses it."""
+    rows = [[[float(z.real), float(z.imag)] for z in row] for row in m]
     out, err = io.StringIO(), io.StringIO()
     with (
         mock.patch("sys.stdin", io.StringIO(json.dumps({"matrix": rows}))),
@@ -543,18 +536,68 @@ def test_near_unitary_matrix_gets_a_report_or_a_circuit(log_residual, seed, comm
         contextlib.redirect_stderr(err),
     ):
         code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue(), np.array([[complex(*z) for z in row] for row in rows])
+
+
+_MATRIX_ARGV = {
+    "analyze": ["analyze", "-", "--mc-samples", "16"],
+    "synth": ["synth", "-"],
+    "verify": ["verify", "-"],
+}
+
+
+@settings(max_examples=60)
+@given(st.floats(-9, -5.7), st.none() | st.integers(0, 2**32 - 1), st.sampled_from(sorted(_MATRIX_ARGV)))
+@example(math.log10(2e-7), None, "analyze")
+@example(math.log10(2e-7), None, "synth")
+@example(math.log10(2e-7), 0, "verify")
+def test_near_unitary_matrix_gets_a_report_or_a_circuit(log_residual, seed, command):
+    """Residuals up to UNITARY_TOL exit 0, past the library's 1e-8 too; above, exit 3.
+
+    verify judges the braid relation on the matrix as given.
+    """
+    code, out, err, m = _run_matrix(_MATRIX_ARGV[command], _near_unitary(10.0**log_residual, seed))
+    res = unitarity_residual(m)
     if res > cli.UNITARY_TOL:
-        assert code == 3 and "not unitary" in err.getvalue()
+        assert code == 3 and "not unitary" in err
         return
-    assert code == 0, err.getvalue()
+    if command == "verify":
+        lines = json.loads(out)
+        assert lines["braid_residual"] == braid.braid_residual(m)
+        assert code == (0 if lines["braid_residual"] <= 1e-8 else 1)
+        return
+    assert code == 0, err
     if command == "analyze":
-        report = json.loads(out.getvalue())
+        report = json.loads(out)
         assert report["residuals"]["unitarity"] == res
+        assert report["residuals"]["braid"] == braid.braid_residual(m)
         assert report["min_cnot_count"] == (0 if seed is None else 3)
     else:
-        c = cli.parse_circuit(out.getvalue())
+        c = cli.parse_circuit(out)
         assert c.cnot_count == (0 if seed is None else 3)
         assert phase_distance(evaluate(c), m) <= 1e-6
+
+
+@pytest.mark.parametrize("eps", [5e-10, 5e-8, 2e-7])
+def test_verify_judges_a_perturbed_braid_gate_as_given(eps):
+    """B (I + eps H) has the braid gate B as its polar factor, but a braid
+    residual of order eps: verify and the report's residuals see the latter."""
+    rng = np.random.default_rng(7)
+    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = (h + h.conj().T) / np.linalg.norm(h + h.conj().T)
+    b = braid.build_braid(braid.BraidSpec("I", (0.3, 1.1, -0.7, 2.0)))
+    assert braid.braid_residual(b) <= 1e-14
+    code, out, _, m = _run_matrix(["verify", "-"], b @ (np.eye(4) + eps * h))
+    res = braid.braid_residual(m)
+    assert json.loads(out)["braid_residual"] == res
+    assert code == (0 if res <= 1e-8 else 1)
+    if eps >= 5e-8:
+        assert res > 1e-8 and code == 1
+    code, out, err, _ = _run_matrix(["analyze", "-", "--mc-samples", "16"], m)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["residuals"]["braid"] == res
+    assert report["residuals"]["unitarity"] == unitarity_residual(m)
 
 
 def test_python_dash_m_runs_the_cli():
