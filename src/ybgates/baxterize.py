@@ -123,7 +123,7 @@ def braid_eigenvalues(spec: YbSpec):
 # Spectral machinery
 # ---------------------------------------------------------------------------
 
-def spectral_decompose(b: np.ndarray, group_tol: float = 1e-8):
+def spectral_decompose(b: np.ndarray):
     """Distinct eigenvalues of a unitary with their orthogonal projectors."""
     import scipy.linalg
 
@@ -135,7 +135,7 @@ def spectral_decompose(b: np.ndarray, group_tol: float = 1e-8):
     groups = []  # (representative eigenvalue, column indices)
     for k, lam in enumerate(vals):
         for g in groups:
-            if abs(lam - g[0]) <= group_tol:
+            if abs(lam - g[0]) <= 1e-8:
                 g[1].append(k)
                 break
         else:
@@ -267,20 +267,17 @@ def build_yb(spec: YbSpec) -> np.ndarray:
             inner = np.array([[d, ew * o], [o / ew, d]], dtype=complex)
             r = np.eye(4, dtype=complex)
             r[1:3, 1:3] = inner
-        elif kind == 2:
-            delta = math.sin(phi / 2) ** 2 + math.sinh(mu / 2) ** 2
-            if delta < 1e-24:
-                raise ValueError("singular parameters for kind-2 gate")
-            dd = cmath.sinh(0.5 * (mu + 1j * phi)) / math.sqrt(delta)
-            oo = cmath.sinh(0.5 * (mu - 1j * phi)) / math.sqrt(delta)
-            r = _swap_like_kind(np.array([[dd, ew * oo], [oo / ew, dd]]))
         else:
-            delta = math.cos(phi / 2) ** 2 + math.sinh(mu / 2) ** 2
+            trig, hyp = (math.sin, cmath.sinh) if kind == 2 else (math.cos, cmath.cosh)
+            delta = trig(phi / 2) ** 2 + math.sinh(mu / 2) ** 2
             if delta < 1e-24:
-                raise ValueError("singular parameters for kind-3 gate")
-            dd = cmath.cosh(0.5 * (mu + 1j * phi)) / math.sqrt(delta)
-            oo = cmath.cosh(0.5 * (mu - 1j * phi)) / math.sqrt(delta)
-            r = _swap_like_kind(np.array([[dd, ew * oo], [oo / ew, dd]]))
+                raise ValueError(f"singular parameters for kind-{kind} gate")
+            dd = hyp(0.5 * (mu + 1j * phi)) / math.sqrt(delta)
+            oo = hyp(0.5 * (mu - 1j * phi)) / math.sqrt(delta)
+            r = np.zeros((4, 4), dtype=complex)
+            r[0, 0] = r[3, 3] = dd
+            r[1, 2] = ew * oo
+            r[2, 1] = oo / ew
         if fam == "II":
             r = _X1 @ r @ _X1
         return r
@@ -307,42 +304,22 @@ def build_yb(spec: YbSpec) -> np.ndarray:
             ],
             dtype=complex,
         )
-    if kind == 2:
-        delta = (sh * c1) ** 2 + (ch * s1) ** 2
-        if delta < 1e-24:
-            raise ValueError("singular parameters for family III kind-2 gate")
-        rt = math.sqrt(delta)
-        return np.array(
-            [
-                [sh * c1, 0, 0, e2 * ch * s1],
-                [0, 1j * ch * s1, -sh * c1, 0],
-                [0, -sh * c1, 1j * ch * s1, 0],
-                [-ch * s1 / e2, 0, 0, sh * c1],
-            ],
-            dtype=complex,
-        ) / rt
-    delta = (ch * c1) ** 2 + (sh * s1) ** 2
+    # kinds 2 and 3 share one template: kind 3 swaps sinh and cosh and flips the
+    # corner signs; e = sign * e2, written -e2 so that its signed zeros are exact
+    x, y, sign, e = (sh, ch, 1.0, e2) if kind == 2 else (ch, sh, -1.0, -e2)
+    delta = (x * c1) ** 2 + (y * s1) ** 2
     if delta < 1e-24:
-        raise ValueError("singular parameters for family III kind-3 gate")
+        raise ValueError(f"singular parameters for family III kind-{kind} gate")
     rt = math.sqrt(delta)
     return np.array(
         [
-            [ch * c1, 0, 0, -e2 * sh * s1],
-            [0, 1j * sh * s1, -ch * c1, 0],
-            [0, -ch * c1, 1j * sh * s1, 0],
-            [sh * s1 / e2, 0, 0, ch * c1],
+            [x * c1, 0, 0, e * y * s1],
+            [0, 1j * y * s1, -x * c1, 0],
+            [0, -x * c1, 1j * y * s1, 0],
+            [-sign * y * s1 / e2, 0, 0, x * c1],
         ],
         dtype=complex,
     ) / rt
-
-
-def _swap_like_kind(inner: np.ndarray) -> np.ndarray:
-    """Assemble diag(d, [[0, o+],[o-, 0]], d) from a 2x2 (d, offdiag) block."""
-    r = np.zeros((4, 4), dtype=complex)
-    r[0, 0] = r[3, 3] = inner[0, 0]
-    r[1, 2] = inner[0, 1]
-    r[2, 1] = inner[1, 0]
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -398,16 +375,6 @@ def braid_limit_residual(spec: YbSpec, mu_large: float) -> float:
 # Closed-form nonlocal parameters and entangling power
 # ---------------------------------------------------------------------------
 
-def _clamped_arccos(v):
-    return np.arccos(np.clip(v, -1.0, 1.0))
-
-
-def _arg_ratio(num, den):
-    """arg(num / den), or 0 where num or den is below 1e-300 in modulus."""
-    tiny = (np.abs(num) < 1e-300) | (np.abs(den) < 1e-300)
-    return np.where(tiny, 0.0, np.angle(np.where(tiny, 1.0, num) / np.where(tiny, 1.0, den)))
-
-
 def _triples(a1, a2, a3) -> np.ndarray:
     """Stack broadcast coordinate arrays into (..., 3) points."""
     return np.stack(np.broadcast_arrays(a1, a2, a3), axis=-1)
@@ -415,17 +382,17 @@ def _triples(a1, a2, a3) -> np.ndarray:
 
 def _face_point(phi, mu) -> np.ndarray:
     """(a, a, c) coordinates of the kind-1 gates on the tetrahedron faces."""
-    cos2 = np.cos(2 * phi)
-    den = np.cosh(2 * mu) - cos2
-    flat = np.abs(den) < 1e-14
-    ratio = (1 - cos2) / np.where(flat, 1.0, den)
-    a = np.where(flat, 0.0, _clamped_arccos(np.sqrt(np.clip(ratio, 0.0, 1.0))))
-    c = -0.5 * _arg_ratio(np.sin(phi + 1j * mu), np.sin(phi - 1j * mu))
-    return _triples(a, a, np.where(flat, 0.0, c))
+    a = np.arctan2(np.abs(np.sinh(mu)), np.abs(np.sin(phi)))
+    c = -np.arctan2(np.cos(phi) * np.tanh(mu), np.sin(phi))
+    return _triples(a, a, c)
 
 
 def _raw_point(spec: YbSpec) -> np.ndarray:
-    """Closed-form chamber point of the gate, before canonicalization."""
+    """Closed-form chamber point of the gate, before canonicalization.
+
+    The atan2 forms keep full precision near mu = 0 and cannot overflow
+    except through sinh in `_face_point`.
+    """
     fam, kind = spec.family, spec.kind
     half_pi = math.pi / 2
     if fam == "IV":
@@ -435,22 +402,21 @@ def _raw_point(spec: YbSpec) -> np.ndarray:
         phi, _ = spec.phase_params()
         if kind == 1:
             return _face_point(phi, mu)
-        z = 0.5 * (phi + 1j * mu)
-        if kind == 2:
-            t = _arg_ratio(np.sin(np.conj(z)), np.sin(z))
-        else:
-            t = _arg_ratio(np.cos(z), np.cos(np.conj(z)))
+        # t = -2 arg sin(z) for kind 2 and 2 arg cos(z) for kind 3, z = (phi + i mu) / 2
+        s, c = np.sin(phi / 2), np.cos(phi / 2)
+        y, x = (c, s) if kind == 2 else (s, c)
+        t = -2 * np.arctan2(y * np.tanh(mu / 2), x)
         return _triples(half_pi, half_pi, half_pi - t)
     # family III
     p1 = spec.phi[0]
     if kind == 1:
         return _face_point(2 * p1, 2 * mu)
-    sh, ch = np.sinh(mu), np.cosh(mu)
-    x, y = (sh, ch) if kind == 2 else (ch, sh)
-    d = np.sqrt(x**2 * np.cos(p1) ** 2 + y**2 * np.sin(p1) ** 2)
-    if np.any(d < 1e-14):
+    th = np.tanh(mu)
+    x, y = (th, 1.0) if kind == 2 else (1.0, th)
+    u, v = x * np.cos(p1), y * np.sin(p1)
+    if np.any(np.hypot(u, v) < 1e-14):
         raise ValueError(f"singular parameters for family III kind-{kind} point")
-    t = _clamped_arccos(x * np.cos(p1) / d)
+    t = np.arctan2(np.abs(v), u)
     return _triples(half_pi, half_pi, half_pi - 2 * t)
 
 
@@ -466,7 +432,6 @@ def yb_nonlocal_closed(spec: YbSpec) -> np.ndarray:
     return canonicalize(_raw_point(spec))
 
 
-@np.errstate(over="raise", divide="raise", invalid="raise")
 def yb_ep(spec: YbSpec):
     """Closed-form entangling power of the Yang-Baxter gate.
 

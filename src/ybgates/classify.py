@@ -113,20 +113,20 @@ def is_dual_unitary(u: np.ndarray, tol: float = CLIFFORD_TOL) -> bool:
 LATTICE_TOL = 1e-9
 
 
-def on_lattice(x: float, step: float, offset: float = 0.0, tol: float = LATTICE_TOL) -> bool:
-    """True iff x is within tol of offset + k * step for integer k."""
+def on_lattice(x: float, step: float, offset: float = 0.0) -> bool:
+    """True iff x is within LATTICE_TOL of offset + k * step for integer k."""
     d = (x - offset) / step
-    return abs(d - round(d)) * step <= tol
+    return abs(d - round(d)) * step <= LATTICE_TOL
 
 
-def _iswap_locus(mu: float, phi: float, cot: bool, tol: float = LATTICE_TOL) -> bool:
+def _iswap_locus(mu: float, phi: float, cot: bool) -> bool:
     """tanh(mu/2) = +-tan(phi/2) (or +-cot with cot=True)."""
     t = math.tanh(mu / 2)
     c, s = math.cos(phi / 2), math.sin(phi / 2)
     if cot:
         c, s = s, c
     # cross-multiplied to dodge tan poles
-    return min(abs(t * c - s), abs(t * c + s)) <= tol
+    return min(abs(t * c - s), abs(t * c + s)) <= LATTICE_TOL
 
 
 def predict_conditions(spec) -> dict:
@@ -197,18 +197,11 @@ def _predict_yb(spec: YbSpec) -> dict:
         }
     # family III
     p1, p2 = spec.phi
-    mu = spec.mu
-    cl2 = on_lattice(p2, math.pi, math.pi / 2)
-    if kind == 1:
-        return {
-            "clifford": cl2 and (abs(mu) <= LATTICE_TOL or on_lattice(p1, math.pi / 2)),
-            "matchgate": False,
-            "dual_unitary": False,
-        }
     return {
-        "clifford": cl2 and (abs(mu) <= LATTICE_TOL or on_lattice(p1, math.pi / 2)),
+        "clifford": on_lattice(p2, math.pi, math.pi / 2)
+        and (abs(spec.mu) <= LATTICE_TOL or on_lattice(p1, math.pi / 2)),
         "matchgate": False,
-        "dual_unitary": True,
+        "dual_unitary": kind != 1,
     }
 
 

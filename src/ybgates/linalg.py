@@ -70,7 +70,7 @@ def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     return frob(a - cmath.exp(1j * phi) * b)
 
 
-def sym_unitary_eig(m: np.ndarray, tol: float = 1e-8):
+def sym_unitary_eig(m: np.ndarray):
     """Eigendecomposition of a symmetric unitary matrix with a real
     orthogonal eigenbasis.
 
@@ -84,9 +84,9 @@ def sym_unitary_eig(m: np.ndarray, tol: float = 1e-8):
     """
     m = np.asarray(m, dtype=complex)
     asym = frob(m - m.T)
-    if asym > tol:
+    if asym > 1e-8:
         raise ValueError(f"matrix is not symmetric (residual {asym:.2e})")
-    if unitarity_residual(m) > tol:
+    if unitarity_residual(m) > 1e-8:
         raise ValueError("matrix is not unitary")
     a = (m.real + m.real.T) / 2
     b = (m.imag + m.imag.T) / 2

@@ -151,10 +151,10 @@ def _wrap(theta: float) -> float:
     return t
 
 
-def euler_zxz(v: np.ndarray, tol: float = 1e-12):
+def euler_zxz(v: np.ndarray):
     """Angles (alpha, beta, gamma, phase) with V = e^{i phase} Rz(a) Rx(b) Rz(g).
 
-    When the middle angle is 0 or pi within tol, gamma is set to 0 and
+    When the middle angle is 0 or pi within 1e-12, gamma is set to 0 and
     folded into alpha.
     """
     v00, v01, v10, v11 = np.asarray(v, dtype=complex).ravel().tolist()
@@ -162,9 +162,9 @@ def euler_zxz(v: np.ndarray, tol: float = 1e-12):
     w00, w01, w10 = v00 / root, v01 / root, v10 / root
     cb, sb = abs(w00), abs(w01)
     beta = 2 * math.atan2(sb, cb)
-    if sb <= tol:
+    if sb <= 1e-12:
         alpha, beta, gamma = -2 * cmath.phase(w00), 0.0, 0.0
-    elif cb <= tol:
+    elif cb <= 1e-12:
         alpha, beta, gamma = 2 * (cmath.phase(w10) + math.pi / 2), math.pi, 0.0
     else:
         half_sum = -cmath.phase(w00)

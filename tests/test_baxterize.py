@@ -21,7 +21,7 @@ from ybgates.baxterize import (
 )
 from ybgates.braid import BraidSpec, build_braid
 from ybgates.linalg import frob, phase_distance, unitarity_residual
-from ybgates.weyl import chamber_location, entangling_power, extract_nonlocal
+from ybgates.weyl import canonicalize, chamber_location, entangling_power, extract_nonlocal
 
 RNG = np.random.default_rng(23)
 PI = math.pi
@@ -126,6 +126,31 @@ def test_closed_forms_on_grid_match_built_gates(family, kind):
         assert chamber_distance(a, extract_nonlocal(g)) <= 1e-7
         assert abs(ep - entangling_power(g)) <= 1e-7
 
+
+
+@pytest.mark.parametrize("family,kind", ALL_GATES)
+def test_closed_form_precision_near_mu_zero(family, kind):
+    """The closed form keeps full precision as the spectral parameter goes to 0."""
+    rng = np.random.default_rng(41)
+    for size in (1e-3, 1e-5, 1e-7, 1e-9, 1e-12):
+        for spectral in (size, -size):
+            for _ in range(8):
+                s = YbSpec(family, kind, spectral, tuple(rng.uniform(0, 2 * PI, PHI_COUNT[family])))
+                try:
+                    ref = canonicalize(extract_nonlocal(build_yb(s)))
+                except ValueError:
+                    continue  # the gate is singular here
+                assert chamber_distance(yb_nonlocal_closed(s), ref) <= 1e-12, s
+
+
+@pytest.mark.parametrize("family", ["I", "II"])
+def test_kind_one_closed_form_at_large_mu(family):
+    """The kind-1 face point matches the built gate out to |mu| = 700, near its overflow."""
+    rng = np.random.default_rng(43)
+    for mu in (360.0, -360.0, 700.0, -700.0):
+        for _ in range(4):
+            s = YbSpec(family, 1, mu, tuple(rng.uniform(0, 2 * PI, 3)))
+            assert chamber_distance(yb_nonlocal_closed(s), extract_nonlocal(build_yb(s))) <= 1e-12
 
 def test_batch_spec_shapes():
     spec = YbSpec("III", 1, np.array([0.1, 0.2]), (np.array([[0.3], [0.4]]), 0.5))

@@ -403,6 +403,17 @@ def test_sweep_flat_face_point_warns_nothing(capsys):
     assert rows[8 * 9 + 4][2:] == ["0", "0", "0", "0", "0", "0"]
 
 
+
+def test_sweep_kind_one_past_cosh_overflow(capsys):
+    # the gate and its closed form are finite at mu = 400, so the whole CSV is written
+    code, out, err = run(
+        capsys, "sweep", "--family", "I", "--kind", "1", "--phi-grid", "0.3", "--mu-grid", "1,2,400",
+    )
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [r[3] for r in rows] == ["1", "2", "400"]
+    assert all(math.isfinite(float(v)) for r in rows for v in r[4:])
+
 def test_sweep_empty_grid(tmp_path, capsys):
     code, _, _ = run(
         capsys, "sweep", "--family", "I", "--phi-grid", "lin:0:1:0", "--mu-grid", "0",
