@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .braid import BraidSpec, build_braid
-from .linalg import I2, I4, SX, dagger, frob, kron, phase_distance, unitarity_residual
+from .linalg import I2, I4, SX, dagger, frob, kron, phase_distance
 from .weyl import canonicalize, entangling_power_from_point
 
 _YB_PARAM_COUNT = {"I": 3, "II": 3, "III": 2, "IV": 1}
@@ -123,34 +123,6 @@ def braid_eigenvalues(spec: YbSpec):
 # Spectral machinery
 # ---------------------------------------------------------------------------
 
-def spectral_decompose(b: np.ndarray):
-    """Distinct eigenvalues of a unitary with their orthogonal projectors."""
-    import scipy.linalg
-
-    b = np.asarray(b, dtype=complex)
-    if unitarity_residual(b) > 1e-8:
-        raise ValueError("spectral_decompose requires a unitary input")
-    t, z = scipy.linalg.schur(b, output="complex")
-    vals = np.diag(t)
-    groups = []  # (representative eigenvalue, column indices)
-    for k, lam in enumerate(vals):
-        for g in groups:
-            if abs(lam - g[0]) <= 1e-8:
-                g[1].append(k)
-                break
-        else:
-            groups.append([lam, [k]])
-    pairs = []
-    for lam, cols in groups:
-        v = z[:, cols]
-        p = v @ dagger(v)
-        pairs.append((complex(np.mean(vals[cols])), p))
-    rec = sum(lam * p for lam, p in pairs)
-    if frob(rec - b) > 1e-8:
-        raise ValueError("spectral reconstruction residual exceeds 1e-8")
-    return pairs
-
-
 def normalize_gate(r: np.ndarray) -> np.ndarray:
     """Rescale a unitary-up-to-scale matrix to its unitary representative."""
     r = np.asarray(r, dtype=complex)
@@ -187,21 +159,15 @@ def baxterize3(b: np.ndarray, lam1, lam2, lam3, x: complex):
     return r, (alpha, beta, gamma)
 
 
-def baxterized_gate(spec: YbSpec, x: float | None = None) -> np.ndarray:
+def baxterized_gate(spec: YbSpec) -> np.ndarray:
     """Unitary R gate built via the spectral ansatz (not the closed forms)."""
     b = build_braid(spec.braid_spec())
     lams = braid_eigenvalues(spec)
-    if x is None:
-        if spec.family == "IV":
-            x = chi_to_x(spec.chi)
-        elif spec.family == "III":
-            # the family-III closed forms sit at x = e^{2 mu}, not e^{mu}
-            x = math.exp(2 * spec.mu)
-        else:
-            x = math.exp(spec.mu)
     if spec.family == "IV":
-        r = baxterize2(b, lams[0], lams[1], x)
+        r = baxterize2(b, lams[0], lams[1], chi_to_x(spec.chi))
     else:
+        # the family-III closed forms sit at x = e^{2 mu}, not e^{mu}
+        x = math.exp(2 * spec.mu if spec.family == "III" else spec.mu)
         l1, l2, l3 = lams
         if spec.kind == 1:
             r, _ = baxterize3(b, l1, l2, l3, x)

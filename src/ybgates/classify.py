@@ -53,13 +53,13 @@ def clifford_table(u: np.ndarray):
     }
 
 
-def _table_is_clifford(table: dict, tol: float) -> bool:
-    return all(r <= tol for _, _, r in table.values())
+def _table_is_clifford(table: dict) -> bool:
+    return all(r <= CLIFFORD_TOL for _, _, r in table.values())
 
 
-def is_clifford(u: np.ndarray, tol: float = CLIFFORD_TOL) -> bool:
+def is_clifford(u: np.ndarray) -> bool:
     """True iff U maps every Pauli generator to a signed Pauli string."""
-    return _table_is_clifford(clifford_table(u), tol)
+    return _table_is_clifford(clifford_table(u))
 
 
 def matchgate_dets(u: np.ndarray):
@@ -76,18 +76,18 @@ def x_shape_residual(u: np.ndarray) -> float:
     return float(np.linalg.norm(u[_OFF_X]))
 
 
-def is_matchgate(u: np.ndarray, tol: float = CLIFFORD_TOL) -> bool:
+def _is_matchgate(u: np.ndarray, dets: tuple) -> bool:
+    outer, inner = dets
+    return x_shape_residual(u) <= CLIFFORD_TOL and abs(outer - inner) <= CLIFFORD_TOL
+
+
+def is_matchgate(u: np.ndarray) -> bool:
     """True iff U is X-shaped with equal outer and inner block determinants.
 
     Both determinants pick up the same factor under a global phase, so
     the test is phase invariant.
     """
-    return x_shape_residual(u) <= tol and _dets_match(matchgate_dets(u), tol)
-
-
-def _dets_match(dets: tuple, tol: float) -> bool:
-    outer, inner = dets
-    return abs(outer - inner) <= tol
+    return _is_matchgate(u, matchgate_dets(u))
 
 
 def reshuffle(u: np.ndarray) -> np.ndarray:
@@ -101,9 +101,9 @@ def dual_unitarity_residual(u: np.ndarray) -> float:
     return frob(ut @ dagger(ut) - np.eye(4))
 
 
-def is_dual_unitary(u: np.ndarray, tol: float = CLIFFORD_TOL) -> bool:
+def is_dual_unitary(u: np.ndarray) -> bool:
     """True iff the reshuffled gate is unitary as well."""
-    return dual_unitarity_residual(u) <= tol
+    return dual_unitarity_residual(u) <= CLIFFORD_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +216,7 @@ class ClassificationReport:
     predicted: dict | None = None
 
 
-def classify_gate(u: np.ndarray, spec=None, tol: float = CLIFFORD_TOL) -> ClassificationReport:
+def classify_gate(u: np.ndarray, spec=None) -> ClassificationReport:
     """Full numeric classification, with symbolic predictions when a spec is given.
 
     Each numeric quantity is computed once and the verdicts are read off
@@ -227,11 +227,11 @@ def classify_gate(u: np.ndarray, spec=None, tol: float = CLIFFORD_TOL) -> Classi
     dets = matchgate_dets(u)
     dual = dual_unitarity_residual(u)
     return ClassificationReport(
-        is_clifford=_table_is_clifford(table, tol),
+        is_clifford=_table_is_clifford(table),
         clifford_table=table,
-        is_matchgate=x_shape_residual(u) <= tol and _dets_match(dets, tol),
+        is_matchgate=_is_matchgate(u, dets),
         matchgate_dets=dets,
-        is_dual_unitary=dual <= tol,
+        is_dual_unitary=dual <= CLIFFORD_TOL,
         dual_residual=dual,
         predicted=predict_conditions(spec) if spec is not None else None,
     )

@@ -12,8 +12,8 @@ Angles may be decimal literals or exact pi expressions such as "pi/2",
 "-3pi/4", "2*pi/3".
 
 Exit codes: 0 success, 1 verification failure, 2 input error (including
-parameters whose gate overflows), 3 non-unitary input, 4 synthesis
-residual failure.
+parameters whose gate overflows and sizes too large to allocate), 3
+non-unitary input, 4 synthesis residual failure.
 """
 
 from __future__ import annotations
@@ -260,34 +260,38 @@ def format_circuit(c: synth.Circuit) -> str:
 
 
 def parse_circuit(text: str) -> synth.Circuit:
+    """Circuit text as written by format_circuit; InputError names a bad line."""
     c = synth.Circuit()
     for line in text.splitlines():
         line = line.strip()
-        if line.startswith("# phase="):
-            c.phase = float(line.split("=", 1)[1])
-            continue
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        kind = parts[0]
-        if kind == "CNOT":
-            c.ops.append(synth.GateOp("CNOT", (int(parts[1]), int(parts[2]))))
-        elif kind == "RZ":
-            c.ops.append(synth.GateOp("RZ", (int(parts[1]),), float(parts[2])))
-        elif kind in ("H", "S", "SDG", "T", "TDG"):
-            c.ops.append(synth.GateOp(kind, (int(parts[1]),)))
-        else:
-            raise InputError(f"unknown circuit line {line!r}")
+        try:
+            if line.startswith("# phase="):
+                c.phase = parse_angle(line.split("=", 1)[1])
+                continue
+            if not line or line.startswith("#"):
+                continue
+            kind, *args = line.split()
+            if kind == "CNOT":
+                control, target = args
+                op = synth.GateOp("CNOT", (int(control), int(target)))
+            elif kind == "RZ":
+                q, angle = args
+                op = synth.GateOp("RZ", (int(q),), float(angle))
+            elif kind in ("H", "S", "SDG", "T", "TDG"):
+                (q,) = args
+                op = synth.GateOp(kind, (int(q),))
+            else:
+                raise ValueError("unknown gate")
+        except ValueError as e:
+            raise InputError(f"bad circuit line {line!r}: {e}") from None
+        c.ops.append(op)
     return c
 
 
 def cmd_synth(args) -> int:
-    u, spec = _read_spec_file(args.spec)
+    u, _ = _read_spec_file(args.spec)
     gate, _ = _require_unitary(u)
-    if isinstance(spec, baxterize.YbSpec) and spec.family == "IV":
-        c = synth.synth_riv(spec.phi[0], spec.chi)
-    else:
-        c = synth.synth_general(gate)
+    c = synth.synth_general(gate)
     # the residual against the input as given
     res = synth.verify_circuit(c, u)
     text = format_circuit(c)
@@ -398,9 +402,6 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except NonUnitaryError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
@@ -409,6 +410,10 @@ def main(argv=None) -> int:
         return 2
     except ArithmeticError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        # numpy's allocation failure is a private MemoryError subclass
+        print(f"error: MemoryError: {e}", file=sys.stderr)
         return 2
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .baxterize import YbSpec, build_yb
 from .linalg import I2, I4, SX, SZ, dagger, kron, phase_distance
 from .weyl import CNOT, SWAP, kak_decompose, min_cnot_count
 
@@ -299,8 +300,6 @@ def synth_riv(phi1: float, chi: float) -> Circuit:
     ops += [cx, h0, h1, _SHARED_OPS["SDG", (0,)]]
     _emit_rz(ops, 0, -phi1 / 2)
     _emit_rz(ops, 1, -phi1 / 2)
-    from .baxterize import YbSpec, build_yb
-
     target = build_yb(YbSpec("IV", 1, chi, (phi1,)))
     c = Circuit(ops)
     t = np.trace(dagger(evaluate(c)) @ target)

@@ -373,14 +373,14 @@ def entangling_power_mc(u: np.ndarray, n: int, seed: int = 0) -> float:
     return float(1.0 - (g @ l @ g).real + 2.0 * (q.conj() @ k @ q).real)
 
 
-def min_cnot_count(a, tol: float = CHAMBER_TOL) -> int:
+def min_cnot_count(a) -> int:
     """Minimal CNOTs needed for a canonical chamber point."""
     a1, a2, a3 = (float(x) for x in a)
-    if max(a1, a2, a3) <= tol:
+    if max(a1, a2, a3) <= CHAMBER_TOL:
         return 0
-    if abs(a1 - math.pi / 2) <= tol and a2 <= tol and a3 <= tol:
+    if abs(a1 - math.pi / 2) <= CHAMBER_TOL and a2 <= CHAMBER_TOL and a3 <= CHAMBER_TOL:
         return 1
-    if a3 <= tol:
+    if a3 <= CHAMBER_TOL:
         return 2
     return 3
 
@@ -389,13 +389,13 @@ def min_cnot_count(a, tol: float = CHAMBER_TOL) -> int:
 # Chamber location tags
 # ---------------------------------------------------------------------------
 
-def chamber_location(a, tol: float = CHAMBER_TOL) -> str:
+def chamber_location(a) -> str:
     """Vertex / edge / face / interior tag of a canonical chamber point."""
     a1, a2, a3 = (float(x) for x in a)
     pi = math.pi
 
     def near(x, y):
-        return abs(x - y) <= tol
+        return abs(x - y) <= CHAMBER_TOL
 
     if near(a1, 0) and near(a2, 0) and near(a3, 0):
         return "O"

@@ -13,14 +13,13 @@ from ybgates.baxterize import (
     build_yb,
     chi_to_x,
     normalize_gate,
-    spectral_decompose,
     x_to_chi,
     yb_ep,
     yb_nonlocal_closed,
     ybe_residual,
 )
 from ybgates.braid import BraidSpec, build_braid
-from ybgates.linalg import frob, phase_distance, unitarity_residual
+from ybgates.linalg import phase_distance, unitarity_residual
 from ybgates.weyl import canonicalize, chamber_location, entangling_power, extract_nonlocal
 
 RNG = np.random.default_rng(23)
@@ -203,16 +202,6 @@ def test_two_eigenvalue_unitarity_real_x_only():
 def test_three_eigenvalue_requires_distinct():
     with pytest.raises(ValueError):
         baxterize3(np.eye(4, dtype=complex), 1.0, 1.0, -1.0, 2.0)
-
-
-def test_spectral_decompose_projectors():
-    s = random_spec("I", 1)
-    b = build_braid(s.braid_spec())
-    pairs = spectral_decompose(b)
-    rec = sum(lam * p for lam, p in pairs)
-    assert frob(rec - b) < 1e-9
-    for lam, p in pairs:
-        assert frob(p @ p - p) < 1e-9
 
 
 @pytest.mark.parametrize("family,kind", [(f, k) for f in ("I", "II", "III") for k in (1, 2, 3)])

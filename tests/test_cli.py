@@ -88,6 +88,17 @@ def test_non_finite_angle_exit_two(capsys, monkeypatch, argv, spec):
     assert "finite" in err
 
 
+def test_unallocatable_mc_samples_exit_two(capsys, monkeypatch):
+    """A 582 TiB draw is refused at once, so nothing is allocated."""
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"named": "cnot"})))
+    code, out, err = run(capsys, "analyze", "--mc-samples", "10000000000000", "-")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: MemoryError: ") and err.count("\n") == 1
+
+
 _YB_MU_800 = {"yb": {"family": "I", "kind": 1, "mu": 800, "phi": [0.1, 0.2, 0.3]}}
 
 
@@ -307,12 +318,30 @@ def test_synth_identity_empty(tmp_path, capsys):
     assert cli.parse_circuit(out).cnot_count == 0
 
 
-def test_synth_riv_template(tmp_path, capsys):
-    path = write_spec(tmp_path, {"yb": {"family": "IV", "kind": 1, "chi": 0.3, "phi": [0.5]}})
-    code, out, _ = run(capsys, "synth", path)
+@pytest.mark.parametrize("chi", [0.3, 0, "pi/8", "pi/4", "-pi/4", "pi/2"])
+def test_synth_family_iv_cnot_minimal(tmp_path, capsys, chi):
+    """synth prints as many CNOTs as analyze says the gate needs: 0 at
+    chi = 0 and pi/2, 1 at the CNOT points chi = +-pi/4, 2 elsewhere."""
+    path = write_spec(tmp_path, {"yb": {"family": "IV", "kind": 1, "chi": chi, "phi": [0.5]}})
+    code, out, err = run(capsys, "synth", path)
     assert code == 0
-    c = cli.parse_circuit(out)
-    assert c.cnot_count == 2
+    cnots = cli.parse_circuit(out).cnot_count
+    stats = dict(field.split("=") for field in err.split())
+    assert int(stats["cnots"]) == cnots
+    assert float(stats["residual"]) <= 1e-6
+    code, out, _ = run(capsys, "analyze", path, "--mc-samples", "16")
+    assert code == 0
+    assert cnots == json.loads(out)["min_cnot_count"]
+    if chi == 0.3:
+        assert cnots == 2
+
+
+@pytest.mark.parametrize(
+    "line", ["CNOT 0", "RZ 0", "H", "H 2", "RZ 0 nan", "FOO 1", "# phase=inf", "H 0 1"]
+)
+def test_parse_circuit_bad_line_is_input_error(line):
+    with pytest.raises(cli.InputError, match=repr(line)):
+        cli.parse_circuit(f"# qubits=2\nH 0\n{line}\n")
 
 
 def test_circuit_text_roundtrip():
@@ -620,3 +649,29 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["min_cnot_count"] == 1
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    """analyze, synth and sweep need numpy alone: scipy is a test dependency."""
+    specs = {
+        "braid": {"braid": {"family": "I", "phi": [0.1, 0.2, 0.3, 0.1]}},
+        "yb": {"yb": {"family": "III", "kind": 2, "mu": 0.4, "phi": [0.3, 0.5]}},
+        "matrix": {"matrix": [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]},
+    }
+    paths = {name: write_spec(tmp_path, obj, f"{name}.json") for name, obj in specs.items()}
+    argvs = [["analyze", paths[name], "--mc-samples", "16"] for name in specs]
+    argvs += [["synth", paths["matrix"]],
+              ["sweep", "--family", "I", "--kind", "2", "--phi-grid", "0.3", "--mu-grid", "0.2"]]
+    script = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from ybgates import cli\n"
+        "sys.exit(max(cli.main(argv) for argv in json.loads(sys.argv[1])))\n"
+    )
+    src = str(Path(ybgates.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
