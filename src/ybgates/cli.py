@@ -12,8 +12,9 @@ Angles may be decimal literals or exact pi expressions such as "pi/2",
 "-3pi/4", "2*pi/3".
 
 Exit codes: 0 success, 1 verification failure, 2 input error (including
-parameters whose gate overflows and sizes too large to allocate), 3
-non-unitary input, 4 synthesis residual failure.
+parameters whose gate overflows, sizes too large to allocate and an --out
+path that cannot be written), 3 non-unitary input, 4 synthesis residual
+failure.
 """
 
 from __future__ import annotations
@@ -288,18 +289,27 @@ def parse_circuit(text: str) -> synth.Circuit:
     return c
 
 
+def _emit(text: str, out) -> None:
+    """Write text to the --out path, or to stdout when there is none."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        f = open(out, "w")
+    except OSError as e:
+        # such as a path in a missing directory, or a directory itself
+        raise InputError(f"cannot write output: {e}") from None
+    with f:
+        f.write(text)
+
+
 def cmd_synth(args) -> int:
     u, _ = _read_spec_file(args.spec)
     gate, _ = _require_unitary(u)
     c = synth.synth_general(gate)
     # the residual against the input as given
     res = synth.verify_circuit(c, u)
-    text = format_circuit(c)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(format_circuit(c), args.out)
     print(f"cnots={c.cnot_count} residual={res:.3e}", file=sys.stderr)
     if res > 1e-6:
         return 4
@@ -333,24 +343,47 @@ def _sweep_spec(family: str, kind: int, phi, mu) -> baxterize.YbSpec:
     return baxterize.YbSpec("IV", kind, mu, (phi,))
 
 
+def _format_17g(values: list) -> np.ndarray:
+    """Each value written with %.17g, which reads back to the same float."""
+    return np.array(["%.17g" % v for v in values], dtype=object)
+
+
+def _distinct_values(x: np.ndarray) -> np.ndarray | None:
+    """The distinct values of x, sorted, when at least half of x repeats; else None."""
+    ordered = np.sort(x.ravel())
+    new = ordered[1:] != ordered[:-1]
+    if 2 * (1 + np.count_nonzero(new)) > x.size:
+        return None
+    return ordered[np.concatenate(([True], new))]
+
+
 def cmd_sweep(args) -> int:
-    phi, mu = np.meshgrid(parse_grid(args.phi_grid), parse_grid(args.mu_grid), indexing="ij")
+    phis, mus = parse_grid(args.phi_grid), parse_grid(args.mu_grid)
+    phi, mu = np.meshgrid(phis, mus, indexing="ij")
     # the whole grid is one batch spec; rows run over mu within each phi
     spec = _sweep_spec(args.family, args.kind, phi, mu)
     a = baxterize.yb_nonlocal_closed(spec)
     # yb_ep's formula, on the point at hand
     ep = weyl.entangling_power_from_point(a)
-    # + 0.0 normalizes negative zeros out of the CSV
-    table = np.column_stack([phi.ravel(), mu.ravel(), a.reshape(-1, 3), ep.ravel()]) + 0.0
-    row = f"{args.family},{args.kind}" + ",%.17g" * 6
-    rows = ["family,kind,phi,mu,a1,a2,a3,ep"]
-    rows.extend(row % tuple(vals) for vals in table.tolist())
-    text = "\n".join(rows) + "\n"
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
+    # one cell per CSV value; + 0.0 normalizes negative zeros out of the CSV.
+    # Each grid value is formatted once, not once per row
+    cells = np.empty(phi.shape + (6,), dtype=object)
+    cells[..., 0] = _format_17g([v + 0.0 for v in phis])[:, None]
+    cells[..., 1] = _format_17g([v + 0.0 for v in mus])
+    point = np.concatenate([a, ep[..., None]], axis=-1) + 0.0
+    # formatting each distinct value once pays for the sort and the index
+    # from 10 rows on, once at least half of the a1, a2, a3, ep values repeat
+    # (as on grids symmetric about 0, or along a chamber edge)
+    values = _distinct_values(point) if phi.size >= 10 else None
+    if values is None:
+        cells[..., 2:] = point
+        cell = ",%.17g"
     else:
-        sys.stdout.write(text)
+        cells[..., 2:] = _format_17g(values.tolist())[np.searchsorted(values, point)]
+        cell = ",%s"
+    row = f"{args.family},{args.kind},%s,%s" + cell * 4 + "\n"
+    text = "family,kind,phi,mu,a1,a2,a3,ep\n" + (row * phi.size) % tuple(cells.ravel().tolist())
+    _emit(text, args.out)
     return 0
 
 
@@ -367,19 +400,16 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--mc-samples", type=int, default=20000)
     pa.add_argument("--mu", type=parse_angle, default=0.5)
     pa.add_argument("--nu", type=parse_angle, default=0.7)
-    pa.set_defaults(func=cmd_analyze)
 
     pv = sub.add_parser("verify", help="braid / Yang-Baxter residuals")
     add_spec(pv)
     pv.add_argument("--mu", type=parse_angle, default=0.5)
     pv.add_argument("--nu", type=parse_angle, default=0.7)
     pv.add_argument("--threshold", type=float, default=1e-8)
-    pv.set_defaults(func=cmd_verify)
 
     ps = sub.add_parser("synth", help="emit a minimal-CNOT circuit")
     add_spec(ps)
     ps.add_argument("--out", default=None, help="circuit text output path")
-    ps.set_defaults(func=cmd_synth)
 
     pw = sub.add_parser("sweep", help="nonlocal parameters and entangling power over a grid")
     pw.add_argument("--family", required=True, choices=braid.FAMILIES)
@@ -387,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--phi-grid", required=True)
     pw.add_argument("--mu-grid", required=True, help="chi grid for family IV")
     pw.add_argument("--out", default=None, help="CSV output path")
-    pw.set_defaults(func=cmd_sweep)
     return p
 
 
@@ -400,8 +429,11 @@ def main(argv=None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    # looked up at call time, so a cmd_* rebound on this module (a tracing
+    # wrapper, a test double) is the one that runs
+    commands = {"analyze": cmd_analyze, "verify": cmd_verify, "synth": cmd_synth, "sweep": cmd_sweep}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except NonUnitaryError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
 import ybgates
-from ybgates import braid, cli, weyl
+from ybgates import baxterize, braid, cli, weyl
 from ybgates.linalg import phase_distance, unitarity_residual
 from ybgates.synth import Circuit, GateOp, evaluate
 from ybgates.weyl import CNOT, SWAP
@@ -450,6 +450,87 @@ def test_sweep_empty_grid(tmp_path, capsys):
     assert code == 2
 
 
+FAMILY_KINDS = [("I", 1), ("I", 2), ("I", 3), ("II", 1), ("II", 2), ("II", 3),
+                ("III", 1), ("III", 2), ("III", 3), ("IV", 1)]
+
+
+def sweep_csv_per_row(family, kind, phi_grid, mu_grid):
+    """Reference CSV: the sweep table formatted row by row with %.17g."""
+    phi, mu = np.meshgrid(cli.parse_grid(phi_grid), cli.parse_grid(mu_grid), indexing="ij")
+    a = baxterize.yb_nonlocal_closed(cli._sweep_spec(family, kind, phi, mu))
+    ep = weyl.entangling_power_from_point(a)
+    table = np.column_stack([phi.ravel(), mu.ravel(), a.reshape(-1, 3), ep.ravel()]) + 0.0
+    row = f"{family},{kind}" + ",%.17g" * 6
+    return "\n".join(["family,kind,phi,mu,a1,a2,a3,ep"] + [row % tuple(r) for r in table.tolist()]) + "\n"
+
+
+grid_values = (st.sampled_from(["0", "-0", "1e-9", "-1e-9", "0.5", "-0.5", "pi/2", "-pi", "2"])
+               | st.floats(-4, 4).map(repr))
+grid_texts = st.one_of(
+    st.builds(lambda a, b, n: f"lin:{a}:{b}:{n}", grid_values, grid_values, st.integers(1, 40)),
+    # comma grids, repeated values included
+    st.lists(grid_values, min_size=1, max_size=8).flatmap(
+        lambda vals: st.lists(st.sampled_from(vals), min_size=1, max_size=12)).map(",".join),
+    grid_values,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FAMILY_KINDS), grid_texts, grid_texts)
+@example(("III", 2), "0,0.3", "-0,0,0.5")
+@example(("I", 1), "-0", "-0")
+# a table where most values repeat, and one where few do
+@example(("II", 2), "lin:-pi:pi:17", "lin:-1.5:1.5:9")
+@example(("I", 1), "0.3", "lin:0:2:100")
+def test_sweep_csv_matches_per_row_formatting(family_kind, phi_grid, mu_grid):
+    family, kind = family_kind
+    try:
+        expected, expected_code = sweep_csv_per_row(family, kind, phi_grid, mu_grid), 0
+    except (ValueError, ArithmeticError):
+        # singular or overflowing grid point: no CSV at all
+        expected, expected_code = "", 2
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["sweep", "--family", family, "--kind", str(kind),
+                         f"--phi-grid={phi_grid}", f"--mu-grid={mu_grid}"])
+    assert (code, out.getvalue()) == (expected_code, expected)
+    assert err.getvalue().count("\n") == (1 if expected_code else 0)
+
+
+# the 25x17 slice grid of each family and kind (phi lin:-pi:pi:25, mu
+# lin:-2:2:17); family III kinds 2/3 are singular at mu = 0 there, so they
+# are also run on a mu grid of 16 points that avoids it
+SLICE_GRIDS = [(family, kind, 17) for family, kind in FAMILY_KINDS] + [("III", 2, 16), ("III", 3, 16)]
+
+
+@pytest.mark.parametrize("family, kind, n_mu", SLICE_GRIDS)
+def test_sweep_csv_slice_grids_match_per_row_formatting(capsys, family, kind, n_mu):
+    phi_grid, mu_grid = "lin:-pi:pi:25", f"lin:-2:2:{n_mu}"
+    code, out, err = run(
+        capsys, "sweep", "--family", family, "--kind", str(kind),
+        "--phi-grid", phi_grid, "--mu-grid", mu_grid,
+    )
+    if family == "III" and kind != 1 and n_mu == 17:
+        assert (code, out) == (2, "")
+        assert err == f"error: singular parameters for family III kind-{kind} point\n"
+    else:
+        assert (code, err) == (0, "")
+        assert out == sweep_csv_per_row(family, kind, phi_grid, mu_grid)
+
+
+@pytest.mark.parametrize("command", ["sweep", "synth"])
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unwritable_out_exits_two(tmp_path, capsys, command, target):
+    out_path = tmp_path / "no-such-dir" / "out.txt" if target == "missing" else tmp_path
+    if command == "sweep":
+        argv = ["sweep", "--family", "I", "--phi-grid", "0.3", "--mu-grid", "0.5"]
+    else:
+        argv = ["synth", write_spec(tmp_path, {"named": "cnot"})]
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 def test_stdin_spec(capsys, monkeypatch):
     import io
 
@@ -480,6 +561,38 @@ def test_repeated_main_calls_share_one_parser(tmp_path, capsys, monkeypatch):
         assert bad[0] == 2 and bad[1] == ""
         again = run(capsys, *argv)
         assert again[:2] == first[:2]
+
+
+def test_broken_stdout_is_not_an_input_error(monkeypatch):
+    """Only an --out path that cannot be opened exits 2; a failing stdout
+    (a closed pipe) is not bad input."""
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(BrokenPipeError):
+        cli.main(["sweep", "--family", "I", "--phi-grid", "0.3", "--mu-grid", "0.5"])
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify", "synth", "sweep"])
+def test_main_dispatches_to_the_current_command_function(tmp_path, monkeypatch, command):
+    """main() calls the cmd_* bound on the module at call time, so a wrapper
+    installed after import (a tracing span) is the one that runs."""
+    seen = []
+
+    def recorder(args):
+        seen.append(args.command)
+        return 0
+
+    monkeypatch.setattr(cli, f"cmd_{command}", recorder)
+    if command == "sweep":
+        argv = ["sweep", "--family", "I", "--phi-grid", "0", "--mu-grid", "0"]
+    else:
+        argv = [command, write_spec(tmp_path, {"named": "cnot"})]
+    assert cli.main(argv) == 0
+    assert seen == [command]
 
 
 # --- input contract --------------------------------------------------------
