@@ -301,9 +301,19 @@ def _gate_at_x(spec: YbSpec, x: float) -> np.ndarray:
 
 def scaled_distance(lhs: np.ndarray, rhs: np.ndarray) -> float:
     """min over complex c of ||lhs - c rhs||_F."""
-    t = np.trace(dagger(rhs) @ lhs)
-    c = t / float(np.trace(dagger(rhs) @ rhs).real)
+    # tr(rhs^dag lhs) and tr(rhs^dag rhs)
+    c = np.vdot(rhs, lhs) / np.vdot(rhs, rhs).real
     return frob(lhs - c * rhs)
+
+
+def _left(r: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(R x 1) M for a 4x4 R and an 8x8 M, without forming R x 1."""
+    return (r @ m.reshape(4, 16)).reshape(8, 8)
+
+
+def _right(r: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(1 x R) M for a 4x4 R and an 8x8 M: R on each half of M's rows."""
+    return (r @ m.reshape(2, 4, 8)).reshape(8, 8)
 
 
 def ybe_residual(spec: YbSpec, mu: float, nu: float) -> float:
@@ -318,8 +328,8 @@ def ybe_residual(spec: YbSpec, mu: float, nu: float) -> float:
     rx = _gate_at_x(spec, x)
     ry = _gate_at_x(spec, y)
     rxy = _gate_at_x(spec, x * y)
-    a = kron(rx, I2) @ kron(I2, rxy) @ kron(ry, I2)
-    b = kron(I2, ry) @ kron(rxy, I2) @ kron(I2, rx)
+    a = _left(rx, _right(rxy, kron(ry, I2)))
+    b = _right(ry, _left(rxy, kron(I2, rx)))
     return scaled_distance(a, b)
 
 

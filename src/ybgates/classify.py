@@ -15,7 +15,7 @@ import numpy as np
 
 from .baxterize import YbSpec
 from .braid import BraidSpec, derived_angles
-from .linalg import PAULI_STRINGS, dagger, frob
+from .linalg import I4, PAULI_STRINGS, dagger, frob
 
 CLIFFORD_TOL = 1e-8
 
@@ -45,8 +45,9 @@ def clifford_table(u: np.ndarray):
     t = images.reshape(4, 16) @ _PAULI_DUAL
     k = np.maximum(np.abs(t.real), np.abs(t.imag)).argmax(axis=1)
     j = np.abs(t[np.arange(4), k][:, None] - _PHASE_VALUES).argmin(axis=1)
-    diff = images - _PHASE_VALUES[j][:, None, None] * PAULI_STRINGS[k]
-    resid = np.linalg.norm(diff.reshape(4, 16), axis=1)
+    diff = (images - _PHASE_VALUES[j][:, None, None] * PAULI_STRINGS[k]).reshape(4, 16)
+    # the Frobenius norm of each image's difference
+    resid = np.sqrt((diff.real**2 + diff.imag**2).sum(axis=1))
     return {
         name: (_PAULI_LABELS[kk], _PHASES[jj], r)
         for name, kk, jj, r in zip(_GENERATOR_NAMES, k.tolist(), j.tolist(), resid.tolist())
@@ -64,10 +65,10 @@ def is_clifford(u: np.ndarray) -> bool:
 
 def matchgate_dets(u: np.ndarray):
     """(outer-block determinant, inner-block determinant) of an X-shaped gate."""
-    u = np.asarray(u, dtype=complex)
-    outer = u[0, 0] * u[3, 3] - u[0, 3] * u[3, 0]
-    inner = u[1, 1] * u[2, 2] - u[1, 2] * u[2, 1]
-    return outer, inner
+    (u00, _, _, u03), (_, u11, u12, _), (_, u21, u22, _), (u30, _, _, u33) = (
+        np.asarray(u, dtype=complex).tolist()
+    )
+    return u00 * u33 - u03 * u30, u11 * u22 - u12 * u21
 
 
 def x_shape_residual(u: np.ndarray) -> float:
@@ -98,7 +99,7 @@ def reshuffle(u: np.ndarray) -> np.ndarray:
 
 def dual_unitarity_residual(u: np.ndarray) -> float:
     ut = reshuffle(u)
-    return frob(ut @ dagger(ut) - np.eye(4))
+    return frob(ut @ dagger(ut) - I4)
 
 
 def is_dual_unitary(u: np.ndarray) -> bool:

@@ -25,6 +25,7 @@ import math
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps's string quoting
 
 import numpy as np
 
@@ -194,8 +195,9 @@ def build_report(u: np.ndarray, spec, seed: int, mc_samples: int, mu: float, nu:
     # the chamber point, and what is read off it, is of the nearest unitary;
     # residuals, classification and the Monte Carlo estimate are of u.
     # The exact image keeps a3 in [-CHAMBER_TOL, 0] on the base band;
-    # the reported point is clamped into the chamber
-    a = weyl.canonicalize(weyl.extract_nonlocal(gate))
+    # the reported point is clamped into the chamber, and read once as
+    # Python floats
+    a = weyl.canonicalize(weyl.extract_nonlocal(gate)).tolist()
     cls = classify.classify_gate(u, spec)
     ybe = None
     if isinstance(spec, baxterize.YbSpec):
@@ -204,11 +206,11 @@ def build_report(u: np.ndarray, spec, seed: int, mc_samples: int, mu: float, nu:
         "version": __version__,
         "seed": seed,
         "mc_samples": mc_samples,
-        "nonlocal": [float(x) for x in a],
+        "nonlocal": a,
         "location": weyl.chamber_location(a),
-        "entangling_power": float(weyl.entangling_power_from_point(a)),
+        "entangling_power": weyl.entangling_power_from_point(a),
         "entangling_power_mc": float(weyl.entangling_power_mc(u, mc_samples, seed)),
-        "min_cnot_count": int(weyl.min_cnot_count(a)),
+        "min_cnot_count": weyl.min_cnot_count(a),
         "classification": {
             "clifford": bool(cls.is_clifford),
             "matchgate": bool(cls.is_matchgate),
@@ -225,10 +227,48 @@ def build_report(u: np.ndarray, spec, seed: int, mc_samples: int, mu: float, nu:
     return report
 
 
+def _json_scalar(v) -> str:
+    """One JSON value as json.dumps writes it; containers are left to the caller."""
+    if isinstance(v, float):
+        if math.isfinite(v):
+            return float.__repr__(v)
+    elif v is None:
+        return "null"
+    elif v is True:
+        return "true"
+    elif v is False:
+        return "false"
+    elif isinstance(v, int):
+        return int.__repr__(v)
+    # non-finite floats, strings and empty containers
+    return json.dumps(v)
+
+
+def format_report(report: dict) -> str:
+    """json.dumps(report, indent=2), byte for byte, for an analyze report.
+
+    The report's layout is fixed: string keys, and values that are JSON
+    scalars or one level of lists and dicts of them.  Writing that layout
+    directly skips json's general-purpose encoder, which is pure Python
+    once an indent is set.
+    """
+    fields = []
+    for key, v in report.items():
+        if isinstance(v, dict) and v:
+            inner = ",\n    ".join(f"{_quote(k)}: {_json_scalar(x)}" for k, x in v.items())
+            text = "{\n    " + inner + "\n  }"
+        elif isinstance(v, (list, tuple)) and v:
+            text = "[\n    " + ",\n    ".join(map(_json_scalar, v)) + "\n  ]"
+        else:
+            text = _json_scalar(v)
+        fields.append(f"{_quote(key)}: {text}")
+    return "{\n  " + ",\n  ".join(fields) + "\n}"
+
+
 def cmd_analyze(args) -> int:
     u, spec = _read_spec_file(args.spec)
     report = build_report(u, spec, _seed(args), args.mc_samples, args.mu, args.nu)
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    sys.stdout.write(format_report(report) + "\n")
     return 0
 
 
@@ -420,11 +460,43 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _option_strings(parser: argparse.ArgumentParser) -> frozenset:
+    """Every option string of the parser and of its subcommands' parsers."""
+    found = set()
+    for action in parser._actions:
+        found.update(action.option_strings)
+        if isinstance(action.choices, dict):  # the subcommand parsers
+            for sub in action.choices.values():
+                found |= _option_strings(sub)
+    return frozenset(found)
+
+
 # built once: argparse parsers hold no state between parse_args calls
 _PARSER = build_parser()
+_OPTIONS = _option_strings(_PARSER)
+# flags whose value may start with "-": angles, grids and the threshold
+_SIGNED_FLAGS = frozenset({"--phi-grid", "--mu-grid", "--mu", "--nu", "--threshold"})
+
+
+def _attach_signed_values(argv: list) -> list:
+    """argv with "--mu -pi/4" written as "--mu=-pi/4".
+
+    argparse reads a token that starts with "-" as an option unless it
+    looks like a plain negative number, so "-pi/4" or "-0.5,0" after a
+    flag would leave the flag without its value.  A token that is an
+    option string, or the stdin spec "-", is left where it is.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] in _SIGNED_FLAGS and tok[:1] == "-" and tok != "-" and tok not in _OPTIONS:
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
 
 
 def main(argv=None) -> int:
+    argv = _attach_signed_values(sys.argv[1:] if argv is None else argv)
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as e:

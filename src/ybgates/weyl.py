@@ -285,7 +285,18 @@ def entangling_power(u: np.ndarray) -> float:
 
 
 def entangling_power_from_point(a):
-    """Entangling power of the core gate at chamber points of shape (..., 3)."""
+    """Entangling power of the core gate at chamber points of shape (..., 3).
+
+    A point given as a list or tuple of three floats is evaluated on Python
+    floats and gives a float, the array formula's value bit for bit where
+    math.cos and np.cos agree (squares are written c * c, as numpy squares).
+    """
+    if isinstance(a, (list, tuple)) and isinstance(a[0], float):
+        a1, a2, a3 = a
+        c1, c2, c3 = math.cos(a1), math.cos(a2), math.cos(a3)
+        s1, s2, s3 = math.sin(a1), math.sin(a2), math.sin(a3)
+        c = (c1 * c1) * (c2 * c2) * (c3 * c3)
+        return (2 / 9) * (1 - (c + (s1 * s1) * (s2 * s2) * (s3 * s3)))
     a = np.asarray(a, dtype=float)
     c, s = np.cos(a) ** 2, np.sin(a) ** 2
     return (2 / 9) * (1 - (c[..., 0] * c[..., 1] * c[..., 2] + s[..., 0] * s[..., 1] * s[..., 2]))

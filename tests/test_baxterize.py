@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from ybgates.baxterize import (
     YbSpec,
@@ -20,7 +22,13 @@ from ybgates.baxterize import (
 )
 from ybgates.braid import BraidSpec, build_braid
 from ybgates.linalg import phase_distance, unitarity_residual
-from ybgates.weyl import canonicalize, chamber_location, entangling_power, extract_nonlocal
+from ybgates.weyl import (
+    canonicalize,
+    chamber_location,
+    entangling_power,
+    entangling_power_from_point,
+    extract_nonlocal,
+)
 
 RNG = np.random.default_rng(23)
 PI = math.pi
@@ -73,6 +81,60 @@ def test_ybe_residual_detects_non_solutions():
     lhs = kron(rx, I2) @ kron(I2, rxy) @ kron(ry, I2)
     rhs = kron(I2, ry) @ kron(rxy, I2) @ kron(I2, rx)
     assert scaled_distance(lhs, rhs) > 1e-2
+
+
+def ybe_residual_by_kron(spec, mu, nu):
+    """The YBE residual from the three 8x8 operand products, each built with np.kron."""
+    i2 = np.eye(2)
+
+    def gate(x):
+        if spec.family == "IV":
+            return build_yb(YbSpec("IV", 1, x_to_chi(x), spec.phi))
+        return build_yb(YbSpec(spec.family, spec.kind, math.log(x), spec.phi))
+
+    x, y = math.exp(mu), math.exp(nu)
+    rx, ry, rxy = gate(x), gate(y), gate(x * y)
+    lhs = np.kron(rx, i2) @ np.kron(i2, rxy) @ np.kron(ry, i2)
+    rhs = np.kron(i2, ry) @ np.kron(rxy, i2) @ np.kron(i2, rx)
+    c = np.trace(rhs.conj().T @ lhs) / np.trace(rhs.conj().T @ rhs).real
+    return np.linalg.norm(lhs - c * rhs)
+
+
+# spectral parameters at least 0.05 from the singular mu = 0 of kinds 2 and 3
+spectral = st.floats(0.05, 1.5) | st.floats(-1.5, -0.05)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ALL_GATES), spectral, spectral, st.lists(st.floats(0, 2 * PI), min_size=3, max_size=3))
+@example(("I", 1), 0.5, 0.7, [0.3, 1.1, 2.0])
+@example(("III", 2), -1.2, 0.4, [0.6, PI / 2, 0.0])
+def test_ybe_residual_matches_kron_products(family_kind, mu, nu, phases):
+    family, kind = family_kind
+    assume(abs(mu + nu) >= 0.05)
+    spec = YbSpec(family, kind, 0.3, tuple(phases[: PHI_COUNT[family]]))
+    assert abs(ybe_residual(spec, mu, nu) - ybe_residual_by_kron(spec, mu, nu)) <= 1e-14
+
+
+@settings(max_examples=200)
+@given(st.lists(st.floats(-2 * PI, 2 * PI), min_size=3, max_size=3))
+@example([0.0, 0.0, 0.0])  # O
+@example([PI, 0.0, 0.0])  # A1
+@example([PI / 2, PI / 2, 0.0])  # A2
+@example([PI / 2, PI / 2, PI / 2])  # A3
+@example([2.0, 0.5, 5e-8])  # the base band, a3 within CHAMBER_TOL of 0
+@example([2.0, 0.5, -5e-8])  # its exact Weyl image
+@example(canonicalize([2.0, 0.5, 5e-8]).tolist())  # the reported, clamped point
+def test_entangling_power_of_a_listed_point_is_the_array_value(point):
+    listed = entangling_power_from_point(point)
+    assert isinstance(listed, float)
+    trig = [np.cos(point), np.sin(point)]
+    if all(np.array_equal(t, [f(x) for x in point]) for t, f in zip(trig, (math.cos, math.sin))):
+        # hex() also tells the sign of zero
+        assert listed.hex() == float(entangling_power_from_point(np.array(point))).hex()
+    else:
+        # numpy's cos or sin differs from the C library's here, so the
+        # two paths may differ in their last bits
+        assert abs(listed - entangling_power_from_point(np.array(point))) <= 1e-15
 
 
 @pytest.mark.parametrize("family,kind", ALL_GATES)

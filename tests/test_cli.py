@@ -595,6 +595,97 @@ def test_main_dispatches_to_the_current_command_function(tmp_path, monkeypatch, 
     assert seen == [command]
 
 
+# --- signed flag values ----------------------------------------------------
+
+YB_SPEC = {"yb": {"family": "I", "kind": 1, "mu": 0.3, "phi": [0.1, 0.2, 0.3]}}
+
+
+@pytest.mark.parametrize(
+    "spaced, joined",
+    [
+        (["sweep", "--family", "I", "--phi-grid", "-0.5,0", "--mu-grid", "0"],
+         ["sweep", "--family", "I", "--phi-grid=-0.5,0", "--mu-grid", "0"]),
+        (["sweep", "--family", "I", "--phi-grid", "-pi/2", "--mu-grid", "0"],
+         ["sweep", "--family", "I", "--phi-grid=-pi/2", "--mu-grid", "0"]),
+        (["sweep", "--family", "II", "--phi-grid", "0.4", "--mu-grid", "-1e-3,-0.5"],
+         ["sweep", "--family", "II", "--phi-grid", "0.4", "--mu-grid=-1e-3,-0.5"]),
+        (["verify", "-", "--mu", "-pi/4"], ["verify", "-", "--mu=-pi/4"]),
+        (["verify", "-", "--nu", "-pi/3", "--threshold", "-1e-3"],
+         ["verify", "-", "--nu=-pi/3", "--threshold=-1e-3"]),
+        (["analyze", "-", "--mu", "-pi/4", "--mc-samples", "64"],
+         ["analyze", "-", "--mu=-pi/4", "--mc-samples", "64"]),
+    ],
+)
+def test_negative_value_after_its_flag(capsys, monkeypatch, spaced, joined):
+    """A value that starts with "-" may follow its flag after a space."""
+    results = []
+    for argv in (spaced, joined):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(YB_SPEC)))
+        results.append(run(capsys, *argv))
+    assert results[0] == results[1]
+    assert results[0][0] in (0, 1) and results[0][1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--mu", "-"],  # "-" is the stdin spec, not a value
+        ["analyze", "--mu", "-"],
+        ["verify", "-", "--mu", "--nu", "0.7"],  # the value is missing
+        ["sweep", "--family", "I", "--phi-grid", "--mu-grid", "0"],
+    ],
+)
+def test_flag_without_its_value_stays_a_usage_error(capsys, monkeypatch, argv):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(YB_SPEC)))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "error: argument" in err
+
+
+# --- the analyze report writer ----------------------------------------------
+
+report_floats = (
+    st.floats()
+    | st.floats().map(np.float64)
+    | st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e308, -1.7976931348623157e308,
+                       math.nan, math.inf, -math.inf, np.float64(-0.0), np.float64(math.inf)])
+)
+report_ints = st.integers() | st.integers(-(10**60), 10**60)
+verdicts = st.fixed_dictionaries(
+    {"clifford": st.booleans(), "matchgate": st.booleans(), "dual_unitary": st.booleans()}
+)
+reports = st.fixed_dictionaries(
+    {
+        "version": st.text(max_size=8),
+        "seed": report_ints,
+        "mc_samples": report_ints,
+        "nonlocal": st.lists(report_floats, min_size=3, max_size=3),
+        "location": st.text(max_size=8),
+        "entangling_power": report_floats,
+        "entangling_power_mc": report_floats,
+        "min_cnot_count": report_ints,
+        "classification": verdicts,
+        "predicted": st.none() | verdicts,
+        "residuals": st.fixed_dictionaries(
+            {
+                "unitarity": report_floats,
+                "braid": report_floats,
+                "ybe": st.none() | report_floats,
+                "dual_unitarity": report_floats,
+            }
+        ),
+    }
+)
+
+
+@settings(max_examples=200)
+@given(reports)
+def test_report_writer_matches_json_dumps(report):
+    """Reports of every value shape; the reports of each spec kind, run
+    through cli.main, are checked in test_analyze_report_takes_entangling_power_from_the_point."""
+    assert cli.format_report(report) == json.dumps(report, indent=2)
+
+
 # --- input contract --------------------------------------------------------
 
 json_leaves = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
