@@ -30,13 +30,9 @@ from json.encoder import encode_basestring_ascii as _quote  # json.dumps's strin
 import numpy as np
 
 from . import __version__, baxterize, braid, classify, synth, weyl
-from .linalg import unitarity_residual
+from .linalg import unitary_part
 
 UNITARY_TOL = 1e-6
-# Past this residual an admitted matrix is replaced by its polar factor.
-# Rounding leaves about 1e-15; kak_decompose fails from about 3e-10 on,
-# since its eigen-solve checks its reconstruction to 1e-9.
-POLAR_TOL = 1e-12
 DEFAULT_SEED_ENV = "GATE_TOOL_SEED"
 
 _NAMED = {
@@ -163,17 +159,14 @@ def _read_spec_file(path: str):
 def _require_unitary(u: np.ndarray):
     """(gate, residual) of an input matrix; exit 3 past UNITARY_TOL.
 
-    A residual in (POLAR_TOL, UNITARY_TOL] is admitted: the gate is then
-    the polar factor of u, the nearest unitary, and the residual is the one
-    of u.  Other inputs are returned as they are.
+    `linalg.unitary_part` with the CLI's wider admission: a residual in
+    (POLAR_TOL, UNITARY_TOL] gives the polar factor of u as the gate, and
+    the residual is the one of u.
     """
-    res = unitarity_residual(u)
-    if res > UNITARY_TOL:
-        raise NonUnitaryError(f"matrix is not unitary (residual {res:.3e})")
-    if res > POLAR_TOL:
-        w, _, vh = np.linalg.svd(u)
-        u = w @ vh
-    return u, res
+    try:
+        return unitary_part(u, UNITARY_TOL)
+    except ValueError as e:
+        raise NonUnitaryError(str(e)) from None
 
 
 def _seed(args) -> int:

@@ -13,6 +13,11 @@ import math
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+# Past this unitarity residual an admitted matrix is replaced by its polar
+# factor.  Rounding leaves about 1e-15; sym_unitary_eig checks its
+# reconstruction to 1e-9, so a KAK of the matrix itself fails from about
+# 3e-10 on.
+POLAR_TOL = 1e-12
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
@@ -57,6 +62,24 @@ def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return unitarity_residual(m) <= tol
 
 
+def unitary_part(u: np.ndarray, admit: float):
+    """(gate, residual) of a matrix admitted as unitary up to `admit`.
+
+    A unitarity residual in (POLAR_TOL, admit] is admitted: the gate is
+    then the polar factor of u, its nearest unitary (one SVD).  Other
+    admitted inputs are the gate as they are.  A residual past admit, NaN
+    included, raises ValueError.
+    """
+    u = np.asarray(u, dtype=complex)
+    res = unitarity_residual(u)
+    if not res <= admit:
+        raise ValueError(f"matrix is not unitary (residual {res:.3e})")
+    if res > POLAR_TOL:
+        w, _, vh = np.linalg.svd(u)
+        u = w @ vh
+    return u, res
+
+
 def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     """min over phi of ||a - e^{i phi} b||_F; zero iff equal up to global phase.
 
@@ -88,10 +111,11 @@ def sym_unitary_eig(m: np.ndarray):
         raise ValueError(f"matrix is not symmetric (residual {asym:.2e})")
     if unitarity_residual(m) > 1e-8:
         raise ValueError("matrix is not unitary")
-    a = (m.real + m.real.T) / 2
-    b = (m.imag + m.imag.T) / 2
+    s = m + m.T
+    a = s.real / 2
+    b = s.imag / 2
     rng = None
-    t = np.sqrt(2.0)  # fixed irrational mixing weight
+    t = math.sqrt(2.0)  # fixed irrational mixing weight
     for _ in range(20):
         _, o = np.linalg.eigh(a + t * b)
         da = np.einsum("ij,ik,kj->j", o, a, o)

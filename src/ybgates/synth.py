@@ -95,16 +95,30 @@ class Circuit:
         return sum(1 for op in self.ops if op.kind == "CNOT")
 
 
-def _kron_rows(x: tuple, y: tuple) -> list:
-    """Rows of the 4x4 kron of two 2x2 matrices given as their entries."""
+def _mul(x: tuple, y: tuple) -> tuple:
+    """Entries of the product of two 2x2 matrices given as their entries."""
     x00, x01, x10, x11 = x
     y00, y01, y10, y11 = y
-    return [
-        [x00 * y00, x00 * y01, x01 * y00, x01 * y01],
-        [x00 * y10, x00 * y11, x01 * y10, x01 * y11],
-        [x10 * y00, x10 * y01, x11 * y00, x11 * y01],
-        [x10 * y10, x10 * y11, x11 * y10, x11 * y11],
-    ]
+    return (x00 * y00 + x01 * y10, x00 * y01 + x01 * y11,
+            x10 * y00 + x11 * y10, x10 * y01 + x11 * y11)
+
+
+def _kron_4x4(x: tuple, y: tuple, order: tuple = (0, 1, 2, 3)) -> np.ndarray:
+    """4x4 kron of two 2x2 matrices given as their entries, rows taken in order.
+
+    The 16 entries are built as one flat tuple, so numpy reads them without
+    inferring a shape or a dtype.
+    """
+    x00, x01, x10, x11 = x
+    y00, y01, y10, y11 = y
+    rows = (
+        (x00 * y00, x00 * y01, x01 * y00, x01 * y01),
+        (x00 * y10, x00 * y11, x01 * y10, x01 * y11),
+        (x10 * y00, x10 * y01, x11 * y00, x11 * y01),
+        (x10 * y10, x10 * y11, x11 * y10, x11 * y11),
+    )
+    i, j, k, l = order
+    return np.array(rows[i] + rows[j] + rows[k] + rows[l], dtype=complex).reshape(4, 4)
 
 
 def evaluate(c: Circuit) -> np.ndarray:
@@ -121,21 +135,18 @@ def evaluate(c: Circuit) -> np.ndarray:
     for op in c.ops:
         kind = op.kind
         if kind == "CNOT":
-            rows = _kron_rows(*acc)
-            u = np.array([rows[i] for i in _CNOT_ROWS[op.qubits]]) @ u
+            u = _kron_4x4(*acc, _CNOT_ROWS[op.qubits]) @ u
             acc = [_ID_2X2, _ID_2X2]
             continue
         q = op.qubits[0]
-        x00, x01, x10, x11 = acc[q]
         if kind == "RZ":
+            x00, x01, x10, x11 = acc[q]
             e = cmath.exp(-0.5j * op.angle)
             f = e.conjugate()
             acc[q] = (e * x00, e * x01, f * x10, f * x11)
         else:
-            g00, g01, g10, g11 = _ENTRIES_1Q[kind]
-            acc[q] = (g00 * x00 + g01 * x10, g00 * x01 + g01 * x11,
-                      g10 * x00 + g11 * x10, g10 * x01 + g11 * x11)
-    return cmath.exp(1j * c.phase) * (np.array(_kron_rows(*acc)) @ u)
+            acc[q] = _mul(_ENTRIES_1Q[kind], acc[q])
+    return cmath.exp(1j * c.phase) * (_kron_4x4(*acc) @ u)
 
 
 def verify_circuit(c: Circuit, target: np.ndarray) -> float:
@@ -155,11 +166,20 @@ def _wrap(theta: float) -> float:
 def euler_zxz(v: np.ndarray):
     """Angles (alpha, beta, gamma, phase) with V = e^{i phase} Rz(a) Rx(b) Rz(g).
 
-    When the middle angle is 0 or pi within 1e-12, gamma is set to 0 and
-    folded into alpha.
+    alpha and gamma are in (-pi, pi], beta in [0, pi].  When the
+    middle angle is 0 or pi within 1e-12, gamma is set to 0 and folded into
+    alpha.  A matrix that is not a phase times a unitary to 1e-10, singular
+    or non-finite ones included, raises ValueError.
     """
-    v00, v01, v10, v11 = np.asarray(v, dtype=complex).ravel().tolist()
-    root = cmath.sqrt(v00 * v11 - v01 * v10)
+    return _euler_entries(*np.asarray(v, dtype=complex).ravel().tolist())
+
+
+def _euler_entries(v00: complex, v01: complex, v10: complex, v11: complex):
+    """`euler_zxz` of the 2x2 matrix with the entries v00, v01, v10, v11."""
+    det = v00 * v11 - v01 * v10
+    if det == 0 or not cmath.isfinite(det):
+        raise ValueError("single-qubit Euler decomposition of a singular or non-finite matrix")
+    root = cmath.sqrt(det)
     w00, w01, w10 = v00 / root, v01 / root, v10 / root
     cb, sb = abs(w00), abs(w01)
     beta = 2 * math.atan2(sb, cb)
@@ -180,29 +200,41 @@ def euler_zxz(v: np.ndarray):
     phase = cmath.phase(r00.conjugate() * v00 + r01.conjugate() * v01
                         + r10.conjugate() * v10 + r11.conjugate() * v11)
     e = cmath.exp(1j * phase)
-    err = (abs(v00 - e * r00) ** 2 + abs(v01 - e * r01) ** 2
-           + abs(v10 - e * r10) ** 2 + abs(v11 - e * r11) ** 2)
-    if math.sqrt(err) > 1e-10:
+    err = math.hypot(abs(v00 - e * r00), abs(v01 - e * r01), abs(v10 - e * r10), abs(v11 - e * r11))
+    # written so that a NaN residual fails
+    if not err <= 1e-10:
         raise ValueError("single-qubit Euler decomposition failed")
     return alpha, beta, gamma, phase
+
+
+def _rz(q: int, theta: float) -> GateOp:
+    """RZ on qubit q (0 or 1) at an angle that is finite and in (-pi, pi].
+
+    Synthesis makes only such angles, so the op is built without the
+    validation of GateOp(...): its three fields are set directly.
+    """
+    op = object.__new__(GateOp)
+    op.__dict__.update(kind="RZ", qubits=(q,), angle=theta)
+    return op
 
 
 def _emit_rz(ops: list, q: int, theta: float) -> None:
     theta = _wrap(theta)
     if abs(theta) > 1e-14:
-        ops.append(GateOp("RZ", (q,), theta))
+        ops.append(_rz(q, theta))
 
 
-def _emit_local(ops: list, q: int, v: np.ndarray) -> float:
-    """Append ops realizing the 2x2 unitary v on qubit q; returns its phase."""
-    alpha, beta, gamma, phase = euler_zxz(v)
-    _emit_rz(ops, q, gamma)
+def _emit_local(ops: list, q: int, v: tuple) -> float:
+    """Append ops realizing the 2x2 unitary with entries v on qubit q;
+    returns its phase.  The Euler angles are already wrapped."""
+    alpha, beta, gamma, phase = _euler_entries(*v)
+    if abs(gamma) > 1e-14:
+        ops.append(_rz(q, gamma))
     if abs(beta) > 1e-14:
         h = _SHARED_OPS["H", (q,)]
-        ops.append(h)
-        _emit_rz(ops, q, beta)
-        ops.append(h)
-    _emit_rz(ops, q, alpha)
+        ops += (h, _rz(q, beta), h)
+    if abs(alpha) > 1e-14:
+        ops.append(_rz(q, alpha))
     return phase
 
 
@@ -215,15 +247,15 @@ def synth_zz(theta: float) -> Circuit:
     return Circuit(ops)
 
 
-def _core_template(a, n: int) -> list:
+def _core_template(a: list, n: int) -> list:
     """Gate skeleton realizing core_gate(a) inside fixed frames with n CNOTs.
 
-    For every canonical chamber point a with min_cnot_count(a) == n,
-    evaluate(Circuit(_core_template(a, n))) equals
-    e^{i theta} (F1 x F2) core_gate(a) (F3 x F4) exactly, with
+    For every canonical chamber point a, given as a list of three floats,
+    with min_cnot_count(a) == n, evaluate(Circuit(_core_template(a, n)))
+    equals e^{i theta} (F1 x F2) core_gate(a) (F3 x F4) exactly, with
     (F1, F2, F3, F4, theta) = _TEMPLATE_FRAMES[n].
     """
-    a1, a2, a3 = (float(x) for x in a)
+    a1, a2, a3 = a
     if n == 0:
         return []
     cx = _SHARED_OPS["CNOT", (0, 1)]
@@ -257,8 +289,12 @@ _TEMPLATE_FRAMES = {
     3: (_S @ _H @ SX @ _S @ _H, _SDG @ _H @ SX @ _S @ _H)
     + (SZ @ _H @ _S,) * 2 + (0.75 * math.pi,),
 }
-# (F1^dag, F2^dag, F3^dag, F4^dag, theta) of each skeleton.
-_FRAME_DAGGERS = {n: tuple(map(dagger, f[:4])) + f[4:] for n, f in _TEMPLATE_FRAMES.items()}
+# (F1^dag, F2^dag, F3^dag, F4^dag, theta) of each skeleton, each dagger as
+# its entries (g00, g01, g10, g11).
+_FRAME_DAGGERS = {
+    n: tuple(tuple(dagger(g).ravel().tolist()) for g in f[:4]) + f[4:]
+    for n, f in _TEMPLATE_FRAMES.items()
+}
 
 
 def synth_general(u: np.ndarray) -> Circuit:
@@ -270,18 +306,20 @@ def synth_general(u: np.ndarray) -> Circuit:
     """
     u = np.asarray(u, dtype=complex)
     ku = kak_decompose(u)
-    n = min_cnot_count(ku.a)
+    a = ku.a.tolist()
+    n = min_cnot_count(a)
     f1d, f2d, f3d, f4d, theta = _FRAME_DAGGERS[n]
+    v1, v2, v3, v4 = (v.ravel().tolist() for v in (ku.v1, ku.v2, ku.v3, ku.v4))
     ops: list = []
     phase = ku.phase - theta
-    phase += _emit_local(ops, 0, f3d @ ku.v3)
-    phase += _emit_local(ops, 1, f4d @ ku.v4)
-    ops.extend(_core_template(ku.a, n))
-    phase += _emit_local(ops, 0, ku.v1 @ f1d)
-    phase += _emit_local(ops, 1, ku.v2 @ f2d)
+    phase += _emit_local(ops, 0, _mul(f3d, v3))
+    phase += _emit_local(ops, 1, _mul(f4d, v4))
+    ops += _core_template(a, n)
+    phase += _emit_local(ops, 0, _mul(v1, f1d))
+    phase += _emit_local(ops, 1, _mul(v2, f2d))
     c = Circuit(ops, _wrap(phase))
     res = verify_circuit(c, u)
-    if res > 1e-7:
+    if not res <= 1e-7:
         raise ValueError(f"synthesis reconstruction failed (residual {res:.2e})")
     return c
 
@@ -305,6 +343,6 @@ def synth_riv(phi1: float, chi: float) -> Circuit:
     t = np.trace(dagger(evaluate(c)) @ target)
     c.phase = cmath.phase(t) if abs(t) > 0 else 0.0
     res = verify_circuit(c, target)
-    if res > 1e-10:
+    if not res <= 1e-10:
         raise ValueError(f"synthesis reconstruction failed (residual {res:.2e})")
     return c

@@ -18,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULI_STRINGS, dagger, frob, is_unitary, kron, phase_distance, sym_unitary_eig
+from .linalg import (
+    PAULI_STRINGS, dagger, frob, is_unitary, kron, phase_distance, sym_unitary_eig, unitary_part,
+)
 
 CHAMBER_TOL = 1e-7
 
@@ -168,6 +170,7 @@ def _chamber_point(angles: np.ndarray) -> np.ndarray:
 _PERMS = np.array(list(itertools.permutations(range(4))))
 _SIGNS = np.array([1.0, -1.0])
 _MATCH = np.arange(2)[:, None] * 16 + _PERMS[:, None, :] * 4 + np.arange(4)
+_SLICES = np.arange(2)
 
 
 @dataclass
@@ -191,27 +194,34 @@ class KakDecomposition:
 
 
 def _factor_local(k: np.ndarray):
-    """Split k = e^{i phase} (a x b) with det a = det b = 1.
+    """Split both slices of a (2, 4, 4) stack, k[s] = e^{i phase_s} (a_s x b_s),
+    with det a_s = det b_s = 1.
 
     Block (i, j) of k = c (A x B) is c A_ij B: row 2i + j of the
     realigned matrix r[2i + j, 2p + q] = k[2i + p, 2j + q] is c A_ij
     vec(B).  With b the largest-norm row, a = r b^* / |b|^2 is
     vec(A) / A_ij, so r = a b^T and k = a x b exactly.  The realignment
-    keeps the Frobenius norm, so |r - a b^T| is |k - a x b|; past 1e-7,
-    k is not a tensor product.  Dividing a and b by square roots of their
-    determinants leaves the phase of the product of those roots.
+    keeps the Frobenius norm, so |r - a b^T| is |k - a x b|; past 1e-7
+    over both slices, one of them is not a tensor product.  Dividing a and
+    b by square roots of their determinants leaves the phase of the
+    product of those roots.  Returns (a_0, b_0, a_1, b_1, phase_0, phase_1).
     """
-    r = k.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    norms = (r.real**2 + r.imag**2).sum(axis=1)
-    n = int(np.argmax(norms))
-    b = r[n]
-    a = r @ b.conj() / norms[n]
-    resid = frob(r - a[:, None] * b)
+    r = k.reshape(2, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(2, 4, 4)
+    norms = (r.real**2 + r.imag**2).sum(axis=2)
+    n = norms.argmax(axis=1)
+    b = r[_SLICES, n]
+    a = (r @ b.conj()[:, :, None])[:, :, 0] / norms[_SLICES, n][:, None]
+    resid = frob(r - a[:, :, None] * b[:, None, :])
     if not resid <= 1e-7:
         raise ValueError(f"matrix is not a tensor product (residual {resid:.2e})")
-    (a00, a01, a10, a11), (b00, b01, b10, b11) = a.tolist(), b.tolist()
-    ra, rb = cmath.sqrt(a00 * a11 - a01 * a10), cmath.sqrt(b00 * b11 - b01 * b10)
-    return (a / ra).reshape(2, 2), (b / rb).reshape(2, 2), cmath.phase(ra * rb)
+    factors, roots = [], []
+    for x00, x01, x10, x11 in (*a.tolist(), *b.tolist()):
+        root = cmath.sqrt(x00 * x11 - x01 * x10)
+        factors.append((x00 / root, x01 / root, x10 / root, x11 / root))
+        roots.append(root)
+    ra0, ra1, rb0, rb1 = roots
+    a0, a1, b0, b1 = np.array(factors, dtype=complex).reshape(4, 2, 2)
+    return a0, b0, a1, b1, cmath.phase(ra0 * rb0), cmath.phase(ra1 * rb1)
 
 
 def kak_decompose(u: np.ndarray) -> KakDecomposition:
@@ -230,12 +240,13 @@ def kak_decompose(u: np.ndarray) -> KakDecomposition:
     real orthogonal, with det +1 once det p = +1.  Then
     U = det(U)^{1/4} e^{i theta} (M left M^dag) core_gate(a) (M p^T M^dag)
     with M the magic basis, and each bracket is a local gate.
+
+    A u within 1e-8 of unitary is decomposed through its polar factor
+    (`linalg.unitary_part`), and the result is checked against u as given.
     """
-    u = np.asarray(u, dtype=complex)
-    if not is_unitary(u, 1e-8):
-        raise ValueError("kak_decompose requires a unitary input")
-    det = np.linalg.det(u)
-    ubar = _magic_frame(u, det)
+    gate, _ = unitary_part(u, 1e-8)
+    det = np.linalg.det(gate)
+    ubar = _magic_frame(gate, det)
     angles, p = sym_unitary_eig(ubar.T @ ubar)
     a = _chamber_point(angles)
     d = _PHASE_MAP @ a
@@ -246,13 +257,13 @@ def kak_decompose(u: np.ndarray) -> KakDecomposition:
         p[:, 0] = -p[:, 0]
     theta = j * math.pi / 2
     left = (ubar @ p * np.exp(-1j * (d / 2 + theta))).real
-    v1, v2, p1 = _factor_local(_MAGIC @ left @ _MAGIC_DAG)
-    v3, v4, p2 = _factor_local(_MAGIC @ p.T @ _MAGIC_DAG)
+    v1, v2, v3, v4, p1, p2 = _factor_local(_MAGIC @ np.stack((left, p.T)) @ _MAGIC_DAG)
     phase = theta + cmath.phase(det ** 0.25) + p1 + p2
     phase = float(phase % (2 * math.pi))
     dec = KakDecomposition(v1, v2, v3, v4, a, phase)
+    # against u as given, not its polar factor
     resid = phase_distance(dec.reconstruct(), u)
-    if resid > 1e-8:
+    if not resid <= 1e-8:
         raise ValueError(f"KAK reconstruction residual {resid:.2e} exceeds 1e-8")
     return dec
 
@@ -261,11 +272,10 @@ def extract_nonlocal(u: np.ndarray) -> np.ndarray:
     """Canonical chamber coordinates of a two-qubit unitary.
 
     Only the spectrum of m = ubar^T ubar is needed (see `kak_decompose`).
+    A u within 1e-8 of unitary gives the point of its polar factor.
     """
-    u = np.asarray(u, dtype=complex)
-    if not is_unitary(u, 1e-8):
-        raise ValueError("extract_nonlocal requires a unitary input")
-    ubar = _magic_frame(u, np.linalg.det(u))
+    gate, _ = unitary_part(u, 1e-8)
+    ubar = _magic_frame(gate, np.linalg.det(gate))
     return _chamber_point(np.angle(np.linalg.eigvals(ubar.T @ ubar)))
 
 

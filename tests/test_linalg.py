@@ -7,6 +7,7 @@ from scipy.stats import unitary_group
 
 from ybgates.linalg import (
     I2,
+    POLAR_TOL,
     SX,
     SZ,
     dagger,
@@ -16,6 +17,7 @@ from ybgates.linalg import (
     phase_distance,
     sym_unitary_eig,
     unitarity_residual,
+    unitary_part,
 )
 
 RNG = np.random.default_rng(101)
@@ -116,3 +118,43 @@ def test_frob_matches_numpy_norm(m):
 @pytest.mark.parametrize("n", [2, 4, 8])
 def test_frob_of_zero_matrix_is_exactly_zero(n):
     assert frob(np.zeros((n, n), dtype=complex)) == 0.0
+
+
+def _no_svd(*args, **kwargs):
+    raise AssertionError("an exact input paid for an SVD")
+
+
+def test_unitary_part_returns_exact_inputs_without_an_svd(monkeypatch):
+    monkeypatch.setattr(np.linalg, "svd", _no_svd)
+    for u in (np.eye(4), unitary_group.rvs(4, random_state=RNG)):
+        gate, res = unitary_part(u, 1e-8)
+        assert res == unitarity_residual(u) <= POLAR_TOL
+        assert np.array_equal(gate, u)
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(-12, -6))
+def test_unitary_part_admits_up_to_its_bound_and_takes_the_polar_factor(seed, log_eps):
+    rng = np.random.default_rng(seed)
+    v = unitary_group.rvs(4, random_state=rng)
+    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = (h + dagger(h)) / frob(h + dagger(h))
+    u = v @ (np.eye(4) + 10.0**log_eps * h)
+    res = unitarity_residual(u)
+    for admit in (1e-8, 1e-6):
+        if not res <= admit:
+            with pytest.raises(ValueError, match="not unitary"):
+                unitary_part(u, admit)
+            continue
+        gate, got = unitary_part(u, admit)
+        assert got == res
+        if res > POLAR_TOL:
+            # the polar factor of v (1 + eps h) is v
+            assert unitarity_residual(gate) <= 1e-14
+            assert frob(gate - v) <= 1e-14 + 2 * res
+        else:
+            assert gate is u or np.array_equal(gate, u)
+
+
+def test_unitary_part_rejects_nan():
+    with pytest.raises(ValueError, match="not unitary"):
+        unitary_part(np.full((4, 4), np.nan), 1e-6)

@@ -401,3 +401,45 @@ def test_synth_general_on_dressed_boundary_points(raw, left, right):
     c = synth_general(u)
     assert frob(per_op_unitary(c) - u) <= 1e-7
     assert c.cnot_count == min_cnot_count(extract_nonlocal(u))
+
+
+def _check_ops(c: Circuit) -> None:
+    """Every op equals the one GateOp(...) validates, RZ angles are finite
+    Python floats in (-pi, pi], and qubits are tuples of Python ints."""
+    for op in c.ops:
+        assert op == GateOp(op.kind, op.qubits, op.angle)
+        assert type(op.qubits) is tuple and all(type(q) is int for q in op.qubits)
+        if op.kind == "RZ":
+            assert type(op.angle) is float and math.isfinite(op.angle)
+            assert -PI < op.angle <= PI
+
+
+@given(st.one_of(seeds.map(lambda s: unitary_group.rvs(4, random_state=np.random.default_rng(s))),
+                 st.builds(lambda raw, left, right: _local(left) @ core_gate(raw) @ _local(right),
+                           st.one_of(cell_points, base_band_points), seeds, seeds)))
+@example(np.eye(4))
+@example(SWAP)
+def test_synthesized_ops_are_valid_gate_ops(u):
+    """The ops synth_general builds without validation are the validated ones."""
+    _check_ops(synth_general(u))
+
+
+@given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
+@example(PI, -PI)
+@example(0.0, 0.0)
+def test_synth_zz_and_riv_ops_are_valid_gate_ops(x, y):
+    _check_ops(synth_zz(x))
+    _check_ops(synth_riv(x, y))
+
+
+@pytest.mark.parametrize("v", [
+    np.full((2, 2), np.nan),
+    np.array([[1, np.nan], [0, 1]]),
+    np.array([[np.inf, 0], [0, 1]]),
+    np.array([[1, 0], [-np.inf, 1]]),
+    np.zeros((2, 2)),
+    np.array([[1, 1], [1, 1]]),
+])
+def test_euler_zxz_rejects_nan_inf_and_singular_input(v):
+    with pytest.raises(ValueError):
+        euler_zxz(v)

@@ -1,15 +1,16 @@
+import cmath
 import itertools
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
-from ybgates import braid, cli, weyl
-from ybgates.linalg import SX, SY, SZ, frob, kron, phase_distance, unitarity_residual
+from ybgates import braid, cli, synth, weyl
+from ybgates.linalg import SX, SY, SZ, dagger, frob, kron, phase_distance, unitarity_residual
 from ybgates.weyl import (
     CNOT,
     ISWAP,
@@ -319,23 +320,89 @@ def test_reported_point_is_in_the_chamber(raw, seed):
         assert bare[2] == 0.0
 
 
+def _split_single(k):
+    """The split of one 4x4 matrix, kept here as the oracle of the stacked split."""
+    r = k.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    norms = (r.real**2 + r.imag**2).sum(axis=1)
+    n = int(np.argmax(norms))
+    b = r[n]
+    a = r @ b.conj() / norms[n]
+    (a00, a01, a10, a11), (b00, b01, b10, b11) = a.tolist(), b.tolist()
+    ra, rb = cmath.sqrt(a00 * a11 - a01 * a10), cmath.sqrt(b00 * b11 - b01 * b10)
+    return (a / ra).reshape(2, 2), (b / rb).reshape(2, 2), cmath.phase(ra * rb)
+
+
+def _haar_pairs(seed, phi):
+    """Two slices e^{+-i phi} (a x b) with Haar factors, and the four factors."""
+    rng = np.random.default_rng(seed)
+    f = [unitary_group.rvs(2, random_state=rng) for _ in range(4)]
+    k = np.stack((np.exp(1j * phi) * kron(f[0], f[1]), np.exp(-1j * phi) * kron(f[2], f[3])))
+    return k, f
+
+
 @given(seeds, st.floats(-PI, PI))
 def test_factor_local_recovers_tensor_products(seed, phi):
-    """e^{i phi} (a x b) from Haar a, b splits back into det-1 factors of a, b."""
-    rng = np.random.default_rng(seed)
-    a, b = (unitary_group.rvs(2, random_state=rng) for _ in range(2))
-    k = np.exp(1j * phi) * kron(a, b)
-    fa, fb, phase = weyl._factor_local(k)
-    assert frob(np.exp(1j * phase) * kron(fa, fb) - k) <= 1e-12
-    for f, g in ((fa, a), (fb, b)):
-        assert abs(np.linalg.det(f) - 1) <= 1e-12
-        assert phase_distance(f, g) <= 1e-12
+    """Each slice e^{i phi} (a x b) of a Haar stack splits back into det-1 factors of a, b."""
+    k, f = _haar_pairs(seed, phi)
+    a0, b0, a1, b1, p0, p1 = weyl._factor_local(k)
+    for s, (fa, fb, phase) in enumerate(((a0, b0, p0), (a1, b1, p1))):
+        assert frob(np.exp(1j * phase) * kron(fa, fb) - k[s]) <= 1e-12
+        for got, want in ((fa, f[2 * s]), (fb, f[2 * s + 1])):
+            assert abs(np.linalg.det(got) - 1) <= 1e-12
+            assert phase_distance(got, want) <= 1e-12
+
+
+@given(seeds, st.floats(-PI, PI))
+def test_stacked_split_matches_the_single_matrix_split(seed, phi):
+    """Both slices give the factors and phases of the single-matrix algorithm to 1e-15."""
+    k, _ = _haar_pairs(seed, phi)
+    a0, b0, a1, b1, p0, p1 = weyl._factor_local(k)
+    for s, got in enumerate(((a0, b0, p0), (a1, b1, p1))):
+        want = _split_single(k[s])
+        assert np.max(np.abs(got[0] - want[0])) <= 1e-15
+        assert np.max(np.abs(got[1] - want[1])) <= 1e-15
+        assert abs(np.exp(1j * got[2]) - np.exp(1j * want[2])) <= 1e-15
 
 
 def test_factor_local_rejects_entangling_gates():
-    for g in (CNOT, SWAP, core_gate([0.3, 0.0, 0.0])):
-        with pytest.raises(ValueError, match="not a tensor product"):
-            weyl._factor_local(g)
+    """Either slice alone entangled fails the split."""
+    local = kron(SX, SY @ SZ)
+    for g in (CNOT, SWAP, core_gate([0.3, 0.0, 0.0]), core_gate([1e-6, 0.0, 0.0])):
+        for k in ((g, local), (local, g), (g, g)):
+            with pytest.raises(ValueError, match="not a tensor product"):
+                weyl._factor_local(np.stack(k))
+    # a NaN residual fails the check too
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not a tensor product"):
+        weyl._factor_local(np.stack((local, np.full((4, 4), np.nan))))
+
+
+def _near_unitary(seed, residual):
+    """A Haar gate v times I + e h, h Hermitian, with unitarity residual about `residual`."""
+    rng = np.random.default_rng(seed)
+    v = unitary_group.rvs(4, random_state=rng)
+    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = (h + dagger(h)) / frob(h + dagger(h))
+    return v @ (np.eye(4) + 0.5 * residual * h)
+
+
+@given(seeds, st.floats(-12, -8))
+@example(0, -12.0)
+@example(1, -9.5)
+@example(2, math.log10(0.999e-8))
+def test_library_decomposes_near_unitary_gates(seed, log_residual):
+    """Residuals in [1e-12, 1e-8] are admitted by the library's own entry points,
+    and every result is checked against the input as given."""
+    u = _near_unitary(seed, 10.0**log_residual)
+    assume(unitarity_residual(u) <= 1e-8)  # the top of the range can round past it
+    k = kak_decompose(u)
+    assert phase_distance(k.reconstruct(), u) <= 1e-8
+    assert in_chamber(k.a)
+    for v in (k.v1, k.v2, k.v3, k.v4):
+        assert abs(np.linalg.det(v) - 1) <= 1e-9
+    assert _same_point(extract_nonlocal(u), k.a, 1e-12)
+    c = synth.synth_general(u)
+    assert frob(synth.evaluate(c) - u) <= 1e-7
+    assert c.cnot_count == min_cnot_count(k.a)
 
 
 _BRAID_PARAMS = {"I": 4, "II": 3, "III": 2, "IV": 1}
