@@ -292,13 +292,6 @@ def build_yb(spec: YbSpec) -> np.ndarray:
 # Yang-Baxter equation residual
 # ---------------------------------------------------------------------------
 
-def _gate_at_x(spec: YbSpec, x: float) -> np.ndarray:
-    if spec.family == "IV":
-        return build_yb(YbSpec("IV", 1, x_to_chi(x), spec.phi))
-    mu = math.log(x)
-    return build_yb(YbSpec(spec.family, spec.kind, mu, spec.phi))
-
-
 def scaled_distance(lhs: np.ndarray, rhs: np.ndarray) -> float:
     """min over complex c of ||lhs - c rhs||_F."""
     # tr(rhs^dag lhs) and tr(rhs^dag rhs)
@@ -319,15 +312,17 @@ def _right(r: np.ndarray, m: np.ndarray) -> np.ndarray:
 def ybe_residual(spec: YbSpec, mu: float, nu: float) -> float:
     """Spectral-parameter Yang-Baxter equation residual on the 8x8 operands.
 
-    The equation is checked multiplicatively with x = e^mu, y = e^nu and
-    xy = e^{mu+nu}; since each gate is normalized to its unitary
-    representative, the residual is measured modulo one global scale.
-    Scalar specs only.
+    The gates are built at the spectral parameters mu, nu and mu + nu
+    (multiplicatively x = e^mu, y = e^nu and xy = e^{mu+nu}); since each
+    gate is normalized to its unitary representative, the residual is
+    measured modulo one global scale.  Scalar specs only.
     """
-    x, y = math.exp(mu), math.exp(nu)
-    rx = _gate_at_x(spec, x)
-    ry = _gate_at_x(spec, y)
-    rxy = _gate_at_x(spec, x * y)
+    def gate(s: float) -> np.ndarray:
+        if spec.family == "IV":
+            return build_yb(YbSpec("IV", 1, x_to_chi(math.exp(s)), spec.phi))
+        return build_yb(YbSpec(spec.family, spec.kind, s, spec.phi))
+
+    rx, ry, rxy = gate(mu), gate(nu), gate(mu + nu)
     a = _left(rx, _right(rxy, kron(ry, I2)))
     b = _right(ry, _left(rxy, kron(I2, rx)))
     return scaled_distance(a, b)

@@ -238,7 +238,7 @@ def _json_scalar(v) -> str:
 
 
 def format_report(report: dict) -> str:
-    """json.dumps(report, indent=2), byte for byte, for an analyze report.
+    """json.dumps(report, indent=2), byte for byte, for an analyze or verify report.
 
     The report's layout is fixed: string keys, and values that are JSON
     scalars or one level of lists and dicts of them.  Writing that layout
@@ -276,25 +276,28 @@ def cmd_verify(args) -> int:
         # a Yang-Baxter gate only reaches the braid relation in the limit,
         # so the YBE residual is the verdict for yb specs
         ok = lines["ybe_residual"] <= args.threshold
-    json.dump(lines, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(format_report(lines) + "\n")
     return 0 if ok else 1
 
 
 def format_circuit(c: synth.Circuit) -> str:
-    out = ["# qubits=2", f"# phase={c.phase!r}"]
+    """One line per op, `kind q... [angle]`; every float as its repr, so
+    parse_circuit reads the same bits back."""
+    out = ["# qubits=2", f"# phase={float(c.phase)!r}"]
     for op in c.ops:
-        if op.kind == "RZ":
-            out.append(f"RZ {op.qubits[0]} {op.angle!r}")
-        elif op.kind == "CNOT":
-            out.append(f"CNOT {op.qubits[0]} {op.qubits[1]}")
-        else:
-            out.append(f"{op.kind} {op.qubits[0]}")
+        fields = [op.kind, *map(str, op.qubits)]
+        if op.angle is not None:
+            fields.append(repr(op.angle))
+        out.append(" ".join(fields))
     return "\n".join(out) + "\n"
 
 
 def parse_circuit(text: str) -> synth.Circuit:
-    """Circuit text as written by format_circuit; InputError names a bad line."""
+    """Circuit text as written by format_circuit; InputError names a bad line.
+
+    Each line's kind, qubits and angle go to synth.GateOp, which decides
+    what a valid op is; RZ, the one op with an angle, ends in it.
+    """
     c = synth.Circuit()
     for line in text.splitlines():
         line = line.strip()
@@ -305,17 +308,8 @@ def parse_circuit(text: str) -> synth.Circuit:
             if not line or line.startswith("#"):
                 continue
             kind, *args = line.split()
-            if kind == "CNOT":
-                control, target = args
-                op = synth.GateOp("CNOT", (int(control), int(target)))
-            elif kind == "RZ":
-                q, angle = args
-                op = synth.GateOp("RZ", (int(q),), float(angle))
-            elif kind in ("H", "S", "SDG", "T", "TDG"):
-                (q,) = args
-                op = synth.GateOp(kind, (int(q),))
-            else:
-                raise ValueError("unknown gate")
+            angle = float(args.pop()) if kind == "RZ" and args else None
+            op = synth.GateOp(kind, tuple(map(int, args)), angle)
         except ValueError as e:
             raise InputError(f"bad circuit line {line!r}: {e}") from None
         c.ops.append(op)

@@ -107,9 +107,10 @@ def sym_unitary_eig(m: np.ndarray):
     """
     m = np.asarray(m, dtype=complex)
     asym = frob(m - m.T)
-    if asym > 1e-8:
+    # both checks written so that a NaN residual fails
+    if not asym <= 1e-8:
         raise ValueError(f"matrix is not symmetric (residual {asym:.2e})")
-    if unitarity_residual(m) > 1e-8:
+    if not unitarity_residual(m) <= 1e-8:
         raise ValueError("matrix is not unitary")
     s = m + m.T
     a = s.real / 2

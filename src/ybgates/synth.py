@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,10 +42,10 @@ _RZ_SIGNS = (np.array([-1, -1, 1, 1]), np.array([-1, 1, -1, 1]))
 # A CNOT permutes basis states: row order of CNOT @ m for each (control, target).
 _CNOT_ROWS = {(0, 1): (0, 1, 3, 2), (1, 0): (0, 3, 2, 1)}
 _ID_2X2 = (1 + 0j, 0j, 0j, 1 + 0j)
-# Every valid (kind, qubits) key, mapped to its qubits as Python ints.
-# Keys that compare equal (numpy ints, bools) find the same entry.
-_OP_QUBITS = {(kind, (q,)): (q,) for kind in _SINGLE_KINDS for q in (0, 1)}
-_OP_QUBITS.update({("CNOT", (0, 1)): (0, 1), ("CNOT", (1, 0)): (1, 0)})
+# Every valid (kind, qubits) key.
+_OP_KEYS = frozenset(
+    [(kind, (q,)) for kind in _SINGLE_KINDS for q in (0, 1)] + [("CNOT", (0, 1)), ("CNOT", (1, 0))]
+)
 
 
 @dataclass(frozen=True)
@@ -54,18 +55,21 @@ class GateOp:
     angle: float | None = None
 
     def __post_init__(self):
-        # One lookup validates the key; a miss (a list, a float 1.5) is
-        # normalised to Python ints and looked up once more.
+        # operator.index makes each qubit a Python int; it refuses floats,
+        # strings, None, complex values and numpy bools with a TypeError,
+        # as hashing refuses a kind that is not hashable
         try:
-            qubits = _OP_QUBITS[self.kind, self.qubits]
-        except (KeyError, TypeError):
-            qubits = tuple(int(q) for q in self.qubits)
-            if self.kind not in _SINGLE_KINDS + ("CNOT",) or (self.kind, qubits) not in _OP_QUBITS:
-                raise ValueError(f"no gate {self.kind!r} on qubits {qubits}") from None
+            qubits = tuple(map(operator.index, self.qubits))
+            valid = (self.kind, qubits) in _OP_KEYS
+        except TypeError:
+            valid = False
+        if not valid:
+            raise ValueError(f"no gate {self.kind!r} on qubits {self.qubits!r}")
         object.__setattr__(self, "qubits", qubits)
         if self.kind == "RZ":
             if self.angle is None or not math.isfinite(self.angle):
                 raise ValueError("RZ needs a finite angle")
+            object.__setattr__(self, "angle", float(self.angle))
         elif self.angle is not None:
             raise ValueError(f"{self.kind} takes no angle")
 
@@ -82,7 +86,7 @@ class GateOp:
 
 # One shared instance of every angle-free op: GateOp is frozen, so circuits
 # may hold the same instance any number of times.
-_SHARED_OPS = {key: GateOp(*key) for key in _OP_QUBITS if key[0] != "RZ"}
+_SHARED_OPS = {key: GateOp(*key) for key in _OP_KEYS if key[0] != "RZ"}
 
 
 @dataclass

@@ -68,16 +68,13 @@ def test_yang_baxter_equation(family, kind):
 
 def test_ybe_residual_detects_non_solutions():
     # a gate family that is not spectrally consistent fails the equation
-    s1 = YbSpec("I", 1, 0.6, (0.2, 1.1, 2.3))
-    s2 = YbSpec("I", 1, 0.6, (0.9, 0.4, 1.7))
-    from ybgates.baxterize import _gate_at_x
+    phi1, phi2 = (0.2, 1.1, 2.3), (0.9, 0.4, 1.7)
     from ybgates.linalg import I2, kron
     from ybgates.baxterize import scaled_distance
 
-    x, y = math.exp(0.5), math.exp(0.8)
-    rx = _gate_at_x(s1, x)
-    ry = _gate_at_x(s2, y)
-    rxy = _gate_at_x(s1, x * y)
+    rx = build_yb(YbSpec("I", 1, 0.5, phi1))
+    ry = build_yb(YbSpec("I", 1, 0.8, phi2))
+    rxy = build_yb(YbSpec("I", 1, 0.5 + 0.8, phi1))
     lhs = kron(rx, I2) @ kron(I2, rxy) @ kron(ry, I2)
     rhs = kron(I2, ry) @ kron(rxy, I2) @ kron(I2, rx)
     assert scaled_distance(lhs, rhs) > 1e-2

@@ -297,6 +297,16 @@ def test_verify_failure_exit_one(tmp_path, capsys):
     assert json.loads(out)["braid_residual"] > 1.0
 
 
+@pytest.mark.parametrize("spec", [
+    {"braid": {"family": "I", "phi": [0.3, 1.2, 2.1, 0.5]}},
+    {"yb": {"family": "III", "kind": 2, "mu": 0.4, "phi": [0.8, 1.2]}},
+])
+def test_verify_writes_json_dumps_bytes(tmp_path, capsys, spec):
+    code, out, _ = run(capsys, "verify", write_spec(tmp_path, spec))
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 # --- synth -----------------------------------------------------------------
 
 def test_synth_swap(tmp_path, capsys):
@@ -354,6 +364,36 @@ def test_circuit_text_roundtrip():
     assert phase_distance(evaluate(c2), evaluate(c)) < 1e-15
     assert c2.phase == c.phase
     assert [op.kind for op in c2.ops] == [op.kind for op in c.ops]
+
+
+# every valid (kind, qubits) of the gate set
+_OP_KEYS = [(kind, (q,)) for kind in ("H", "S", "SDG", "T", "TDG", "RZ") for q in (0, 1)] + [
+    ("CNOT", (0, 1)), ("CNOT", (1, 0))]
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+# Python floats and np.float64, signed zeros, subnormals and 1e308 among them
+_angles = (_finite | _finite.map(np.float64) | st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e308, -1e308])
+           | st.sampled_from([np.float64(-0.0), np.float64(5e-324), np.float64(1e308)]))
+
+
+@st.composite
+def _gate_ops(draw):
+    kind, qubits = draw(st.sampled_from(_OP_KEYS))
+    return GateOp(kind, qubits, draw(_angles) if kind == "RZ" else None)
+
+
+def _fields(c):
+    """Kind, qubits and the bits of each angle, and the bits of the phase."""
+    ops = [(op.kind, op.qubits, None if op.angle is None else float(op.angle).hex()) for op in c.ops]
+    return ops, float(c.phase).hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_gate_ops(), max_size=12), _angles)
+@example([GateOp("RZ", (1,), np.float64(0.3))], np.float64(0.3))
+@example([GateOp(kind, qubits, -0.0 if kind == "RZ" else None) for kind, qubits in _OP_KEYS], -0.0)
+def test_circuit_text_roundtrip_is_exact(ops, phase):
+    c = Circuit(ops, phase)
+    assert _fields(cli.parse_circuit(cli.format_circuit(c))) == _fields(c)
 
 
 # --- sweep -----------------------------------------------------------------

@@ -98,6 +98,16 @@ def test_sym_unitary_eig_rejects_bad_input():
             sym_unitary_eig(u)
 
 
+@pytest.mark.parametrize("m", [np.full((4, 4), np.nan, dtype=complex), np.diag([1, 1, 1, np.nan]).astype(complex)])
+def test_sym_unitary_eig_rejects_nan_before_eigh(m, monkeypatch):
+    """A NaN input fails the symmetry or unitarity check, not 20 eigh attempts."""
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(a) or (None, None))
+    with pytest.raises(ValueError, match="not symmetric|not unitary"):
+        sym_unitary_eig(m)
+    assert calls == []
+
+
 def test_dagger_and_paulis():
     assert frob(dagger(SX) - SX) == 0.0
     assert frob(SX @ SZ + SZ @ SX) == 0.0

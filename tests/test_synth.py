@@ -151,6 +151,16 @@ def test_gateop_normalises_qubits(qubits):
         GateOp("H", list(qubits))
 
 
+@pytest.mark.parametrize("qubits", [(1.5,), (0.9, 1), ("1",), (None,), (1 + 0j,), (np.True_,)])
+def test_gateop_rejects_non_integer_qubits(qubits):
+    """A qubit must be an integer: nothing is truncated, parsed or cast."""
+    kind = "CNOT" if len(qubits) == 2 else "H"
+    with pytest.raises(ValueError):
+        GateOp(kind, qubits)
+    with pytest.raises(ValueError):
+        GateOp("RZ", qubits[:1], 0.3)
+
+
 def test_shared_ops_equal_fresh_ones_and_are_frozen():
     assert set(_SHARED_OPS) == {(k, (q,)) for k in ("H", "S", "SDG", "T", "TDG") for q in (0, 1)} | {
         ("CNOT", (0, 1)), ("CNOT", (1, 0))}
