@@ -273,10 +273,10 @@ def build_yb(spec: YbSpec) -> np.ndarray:
     # kinds 2 and 3 share one template: kind 3 swaps sinh and cosh and flips the
     # corner signs; e = sign * e2, written -e2 so that its signed zeros are exact
     x, y, sign, e = (sh, ch, 1.0, e2) if kind == 2 else (ch, sh, -1.0, -e2)
-    delta = (x * c1) ** 2 + (y * s1) ** 2
-    if delta < 1e-24:
+    # hypot, not the root of a sum of squares, stays finite as long as the entries do
+    rt = math.hypot(x * c1, y * s1)
+    if rt < 1e-12:
         raise ValueError(f"singular parameters for family III kind-{kind} gate")
-    rt = math.sqrt(delta)
     return np.array(
         [
             [x * c1, 0, 0, e * y * s1],
@@ -351,9 +351,12 @@ def _triples(a1, a2, a3) -> np.ndarray:
     return np.stack(np.broadcast_arrays(a1, a2, a3), axis=-1)
 
 
-def _face_point(phi, mu) -> np.ndarray:
-    """(a, a, c) coordinates of the kind-1 gates on the tetrahedron faces."""
-    a = np.arctan2(np.abs(np.sinh(mu)), np.abs(np.sin(phi)))
+def _face_point(a, phi, mu) -> np.ndarray:
+    """(a, a, c) coordinates of the kind-1 gates on the tetrahedron faces.
+
+    a is atan2(|sinh mu|, |sin phi|), which each family writes in its own
+    overflow-safe form; c = -atan2(cos phi tanh mu, sin phi).
+    """
     c = -np.arctan2(np.cos(phi) * np.tanh(mu), np.sin(phi))
     return _triples(a, a, c)
 
@@ -361,8 +364,8 @@ def _face_point(phi, mu) -> np.ndarray:
 def _raw_point(spec: YbSpec) -> np.ndarray:
     """Closed-form chamber point of the gate, before canonicalization.
 
-    The atan2 forms keep full precision near mu = 0 and cannot overflow
-    except through sinh in `_face_point`.
+    The atan2 forms keep full precision near mu = 0.  They overflow only
+    with sinh mu or cosh mu, past |mu| ~710, as `build_yb` does.
     """
     fam, kind = spec.family, spec.kind
     half_pi = math.pi / 2
@@ -372,7 +375,7 @@ def _raw_point(spec: YbSpec) -> np.ndarray:
     if fam in ("I", "II"):
         phi, _ = spec.phase_params()
         if kind == 1:
-            return _face_point(phi, mu)
+            return _face_point(np.arctan2(np.abs(np.sinh(mu)), np.abs(np.sin(phi))), phi, mu)
         # t = -2 arg sin(z) for kind 2 and 2 arg cos(z) for kind 3, z = (phi + i mu) / 2
         s, c = np.sin(phi / 2), np.cos(phi / 2)
         y, x = (c, s) if kind == 2 else (s, c)
@@ -381,7 +384,11 @@ def _raw_point(spec: YbSpec) -> np.ndarray:
     # family III
     p1 = spec.phi[0]
     if kind == 1:
-        return _face_point(2 * p1, 2 * mu)
+        # the face point at (2 p1, 2 mu), with sinh 2mu = 2 sinh mu cosh mu:
+        # both atan2 arguments divided by 2 cosh mu, so sinh 2mu is never formed
+        phi = 2 * p1
+        a = np.arctan2(np.abs(np.sinh(mu)), 0.5 * np.abs(np.sin(phi)) / np.cosh(mu))
+        return _face_point(a, phi, 2 * mu)
     th = np.tanh(mu)
     x, y = (th, 1.0) if kind == 2 else (1.0, th)
     u, v = x * np.cos(p1), y * np.sin(p1)

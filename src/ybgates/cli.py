@@ -344,7 +344,7 @@ def cmd_synth(args) -> int:
 
 
 def parse_grid(text: str) -> list:
-    """Comma-separated angles, or lin:<start>:<stop>:<count> for a linspace."""
+    """Comma-separated angles, or lin:<start>:<stop>:<count> for a linspace, as Python floats."""
     text = text.strip()
     if not text:
         raise InputError("empty grid")
@@ -356,7 +356,7 @@ def parse_grid(text: str) -> list:
         count = int(parts[3])
         if count < 1:
             raise InputError("empty grid")
-        return list(np.linspace(start, stop, count))
+        return np.linspace(start, stop, count).tolist()
     return [parse_angle(v) for v in text.split(",")]
 
 
@@ -386,22 +386,21 @@ def _distinct_values(x: np.ndarray) -> np.ndarray | None:
 
 def cmd_sweep(args) -> int:
     phis, mus = parse_grid(args.phi_grid), parse_grid(args.mu_grid)
-    phi, mu = np.meshgrid(phis, mus, indexing="ij")
-    # the whole grid is one batch spec; rows run over mu within each phi
-    spec = _sweep_spec(args.family, args.kind, phi, mu)
+    # one batch spec broadcasts a phi column and a mu row; rows run over mu within each phi
+    spec = _sweep_spec(args.family, args.kind, np.array(phis)[:, None], np.array(mus)[None, :])
     a = baxterize.yb_nonlocal_closed(spec)
     # yb_ep's formula, on the point at hand
     ep = weyl.entangling_power_from_point(a)
     # one cell per CSV value; + 0.0 normalizes negative zeros out of the CSV.
     # Each grid value is formatted once, not once per row
-    cells = np.empty(phi.shape + (6,), dtype=object)
+    cells = np.empty(spec.spectral.shape + (6,), dtype=object)
     cells[..., 0] = _format_17g([v + 0.0 for v in phis])[:, None]
     cells[..., 1] = _format_17g([v + 0.0 for v in mus])
     point = np.concatenate([a, ep[..., None]], axis=-1) + 0.0
     # formatting each distinct value once pays for the sort and the index
     # from 10 rows on, once at least half of the a1, a2, a3, ep values repeat
     # (as on grids symmetric about 0, or along a chamber edge)
-    values = _distinct_values(point) if phi.size >= 10 else None
+    values = _distinct_values(point) if ep.size >= 10 else None
     if values is None:
         cells[..., 2:] = point
         cell = ",%.17g"
@@ -409,7 +408,7 @@ def cmd_sweep(args) -> int:
         cells[..., 2:] = _format_17g(values.tolist())[np.searchsorted(values, point)]
         cell = ",%s"
     row = f"{args.family},{args.kind},%s,%s" + cell * 4 + "\n"
-    text = "family,kind,phi,mu,a1,a2,a3,ep\n" + (row * phi.size) % tuple(cells.ravel().tolist())
+    text = "family,kind,phi,mu,a1,a2,a3,ep\n" + (row * ep.size) % tuple(cells.ravel().tolist())
     _emit(text, args.out)
     return 0
 

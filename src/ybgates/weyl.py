@@ -104,14 +104,13 @@ def _canonical_point(raw, clamp: bool = True) -> np.ndarray:
     return np.array(a)
 
 
-def _sort_desc(a: np.ndarray, rows) -> None:
-    """The compare-swap network of `_canonical_point`, on the selected rows."""
-    for i, j in ((0, 1), (1, 2), (0, 1)):
-        swap = rows & (a[..., i] < a[..., j])
-        a[..., i], a[..., j] = (
-            np.where(swap, a[..., j], a[..., i]),
-            np.where(swap, a[..., i], a[..., j]),
-        )
+def _sort_desc(a: np.ndarray) -> np.ndarray:
+    """Sort the rows of a descending, in place.  A stable sort of -a keeps
+    ties (+0 and -0 among them) in order, as the swaps of `_canonical_point`
+    do, and leaves a sorted row as it is, so a fold needs no row mask."""
+    np.negative(a, out=a)
+    a.sort(axis=-1, kind="stable")
+    return np.negative(a, out=a)
 
 
 def canonicalize(raw) -> np.ndarray:
@@ -131,19 +130,17 @@ def canonicalize(raw) -> np.ndarray:
         return _canonical_point(a.tolist())
     pi = math.pi
     n = np.floor(a / pi)
-    a = np.where(n != 0, a - n * pi, a)
-    _sort_desc(a, True)
+    a = _sort_desc(np.where(n != 0, a - n * pi, a))
     # (a1, a2) -> (pi - a1, pi - a2) via a pairwise flip plus shifts
     fold = a[..., 0] + a[..., 1] > pi
     a[..., 0] = np.where(fold, -a[..., 0] + pi, a[..., 0])
     a[..., 1] = np.where(fold, -a[..., 1] + pi, a[..., 1])
-    _sort_desc(a, fold)
+    _sort_desc(a)
     # the a3 = 0 identification [a1, a2, 0] ~ [pi - a1, a2, 0], a3 clamped
     base = (a[..., 2] <= CHAMBER_TOL) & (a[..., 0] > pi / 2)
     a[..., 0] = np.where(base, -a[..., 0] + pi, a[..., 0])
     a[..., 2] = np.where(base, 0.0, a[..., 2])
-    _sort_desc(a, base)
-    return a
+    return _sort_desc(a)
 
 
 def _chamber_point(angles: np.ndarray) -> np.ndarray:

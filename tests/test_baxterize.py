@@ -201,13 +201,13 @@ def test_closed_form_precision_near_mu_zero(family, kind):
                 assert chamber_distance(yb_nonlocal_closed(s), ref) <= 1e-12, s
 
 
-@pytest.mark.parametrize("family", ["I", "II"])
+@pytest.mark.parametrize("family", ["I", "II", "III"])
 def test_kind_one_closed_form_at_large_mu(family):
     """The kind-1 face point matches the built gate out to |mu| = 700, near its overflow."""
     rng = np.random.default_rng(43)
     for mu in (360.0, -360.0, 700.0, -700.0):
         for _ in range(4):
-            s = YbSpec(family, 1, mu, tuple(rng.uniform(0, 2 * PI, 3)))
+            s = YbSpec(family, 1, mu, tuple(rng.uniform(0, 2 * PI, PHI_COUNT[family])))
             assert chamber_distance(yb_nonlocal_closed(s), extract_nonlocal(build_yb(s))) <= 1e-12
 
 def test_batch_spec_shapes():

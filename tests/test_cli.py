@@ -110,6 +110,8 @@ _YB_MU_800 = {"yb": {"family": "I", "kind": 1, "mu": 800, "phi": [0.1, 0.2, 0.3]
         (("sweep", "--family", "I", "--kind", "1", "--phi-grid", "0.3", "--mu-grid", "800"), None),
         (("analyze", "--mu", "800", "-"),
          {"yb": {"family": "I", "kind": 1, "mu": 0.3, "phi": [0.1, 0.2, 0.3]}}),
+        (("analyze", "-"), {"yb": {"family": "III", "kind": 2, "mu": 800, "phi": [0.3, 0.2]}}),
+        (("synth", "-"), {"yb": {"family": "III", "kind": 3, "mu": -800, "phi": [0.3, 0.2]}}),
     ],
 )
 def test_overflowing_spectral_parameter_exit_two(capsys, monkeypatch, argv, spec):
@@ -120,6 +122,23 @@ def test_overflowing_spectral_parameter_exit_two(capsys, monkeypatch, argv, spec
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", [2, 3])
+@pytest.mark.parametrize("mu", [400, -400, 700, -700])
+def test_family_three_kinds_two_three_at_large_mu(capsys, monkeypatch, kind, mu):
+    """analyze and synth build the gate until cosh mu overflows, past |mu| ~710."""
+    import io
+
+    spec = {"yb": {"family": "III", "kind": kind, "mu": mu, "phi": [0.3, 0.2]}}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(spec)))
+    code, out, err = run(capsys, "analyze", "--mc-samples", "64", "-")
+    assert code == 0 and err == ""
+    closed = baxterize.yb_nonlocal_closed(baxterize.YbSpec("III", kind, mu, (0.3, 0.2)))
+    assert np.max(np.abs(np.array(json.loads(out)["nonlocal"]) - closed)) <= 1e-9
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(spec)))
+    code, out, err = run(capsys, "synth", "-")
+    assert code == 0 and err.startswith("cnots=3 ")
 
 
 @pytest.mark.parametrize("kind, code", [(2, 0), (2.0, 0), (2.9, 2), (True, 2), ("2.5", 2)])
@@ -475,13 +494,14 @@ def test_sweep_flat_face_point_warns_nothing(capsys):
 
 def test_sweep_kind_one_past_cosh_overflow(capsys):
     # the gate and its closed form are finite at mu = 400, so the whole CSV is written
-    code, out, err = run(
-        capsys, "sweep", "--family", "I", "--kind", "1", "--phi-grid", "0.3", "--mu-grid", "1,2,400",
-    )
-    assert code == 0 and err == ""
-    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
-    assert [r[3] for r in rows] == ["1", "2", "400"]
-    assert all(math.isfinite(float(v)) for r in rows for v in r[4:])
+    for family in ("I", "III"):
+        code, out, err = run(
+            capsys, "sweep", "--family", family, "--kind", "1", "--phi-grid", "0.3", "--mu-grid", "1,2,400",
+        )
+        assert code == 0 and err == ""
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [r[3] for r in rows] == ["1", "2", "400"]
+        assert all(math.isfinite(float(v)) for r in rows for v in r[4:])
 
 def test_sweep_empty_grid(tmp_path, capsys):
     code, _, _ = run(

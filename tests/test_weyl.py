@@ -163,6 +163,29 @@ def test_canonicalize_rows_match_single_points(rows):
         assert _bits(ep[i]) == _bits(entangling_power_from_point(out[i]))
 
 
+# A (2, 4, 3) grid, as `sweep` passes: ties and signed zeros in rows that
+# fold pairwise, fold on the base, and do not fold at all.
+_GRID_POINTS = [
+    [(2.5, 2.5, 0.4), (0.0, -0.0, 1.0), (2.0, -0.0, 0.0), (1.0, 1.0, 1.0)],
+    [(3.0, 2.0, 2.0), (0.0, -0.0, 2.0), (PI / 2 + 1e-9, 0.2, 0.0), (-PI, PI, -0.0)],
+]
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda m: st.lists(st.lists(chamber_raw, min_size=m, max_size=m), min_size=1, max_size=5)))
+@example(_GRID_POINTS)
+def test_canonicalize_grid_matches_single_points(grid):
+    """Each point of an (n, m, 3) batch equals `_canonical_point` on it, bit
+    for bit, and the batch given is left as it was."""
+    raw = np.array(grid)
+    before = _bits(raw).copy()
+    out = canonicalize(raw)
+    assert out.shape == raw.shape
+    assert np.array_equal(_bits(raw), before)
+    for index in np.ndindex(raw.shape[:2]):
+        assert np.array_equal(_bits(out[index]), _bits(weyl._canonical_point(raw[index])))
+
+
 @given(chamber_raw)
 @example(_BRANCH_POINTS[4])
 @example(_BAND_POINTS[0])
