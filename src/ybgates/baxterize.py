@@ -26,15 +26,11 @@ class YbSpec:
     For family I the braid parameters are (phi1, phi2, phi3) with
     phi4 = phi1 implied (three distinct eigenvalues).
 
-    A batch spec holds numpy arrays in `spectral` and `phi`; they are
-    broadcast to one shape (...), and scalar entries become arrays of that
-    shape. Only the closed forms `yb_nonlocal_closed` and `yb_ep` take a
-    batch spec; `build_yb`, `ybe_residual` and the other gate builders stay
-    scalar-only.
-
-    Specs compare by value: same family and kind, and equal (np.array_equal)
-    parameters. Scalar specs hash by their fields; batch specs raise
-    TypeError on hash(), as their arrays are mutable.
+    A batch spec holds numpy arrays in `spectral` and `phi`, each kept in
+    its given shape; the shapes must broadcast together, and the batch has
+    their broadcast shape (...). Only the closed forms `yb_nonlocal_closed`
+    and `yb_ep` take a batch spec; `build_yb`, `ybe_residual` and the other
+    gate builders stay scalar-only.
     """
 
     family: str
@@ -54,8 +50,10 @@ class YbSpec:
             np.asarray(v, dtype=float) if isinstance(v, np.ndarray) else float(v)
             for v in (self.spectral, *self.phi)
         ]
-        if any(isinstance(v, np.ndarray) for v in params):
-            params = np.broadcast_arrays(*params)
+        shapes = [v.shape for v in params if isinstance(v, np.ndarray)]
+        if shapes:
+            # raises ValueError for shapes that do not broadcast together
+            np.broadcast_shapes(*shapes)
         object.__setattr__(self, "spectral", params[0])
         object.__setattr__(self, "phi", tuple(params[1:]))
         want = _YB_PARAM_COUNT[self.family]
@@ -63,23 +61,6 @@ class YbSpec:
             raise ValueError(
                 f"family {self.family} takes {want} braid parameters, got {len(self.phi)}"
             )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.family == other.family
-            and self.kind == other.kind
-            and all(
-                np.array_equal(p, q)
-                for p, q in zip((self.spectral, *self.phi), (other.spectral, *other.phi))
-            )
-        )
-
-    def __hash__(self):
-        if isinstance(self.spectral, np.ndarray):
-            raise TypeError("unhashable type: batch YbSpec (its parameters are arrays)")
-        return hash((self.family, self.kind, self.spectral, self.phi))
 
     @property
     def mu(self) -> float:
@@ -346,23 +327,20 @@ def braid_limit_residual(spec: YbSpec, mu_large: float) -> float:
 # Closed-form nonlocal parameters and entangling power
 # ---------------------------------------------------------------------------
 
-def _triples(a1, a2, a3) -> np.ndarray:
-    """Stack broadcast coordinate arrays into (..., 3) points."""
-    return np.stack(np.broadcast_arrays(a1, a2, a3), axis=-1)
-
-
-def _face_point(a, phi, mu) -> np.ndarray:
+def _face_point(a, phi, mu) -> tuple:
     """(a, a, c) coordinates of the kind-1 gates on the tetrahedron faces.
 
     a is atan2(|sinh mu|, |sin phi|), which each family writes in its own
     overflow-safe form; c = -atan2(cos phi tanh mu, sin phi).
     """
-    c = -np.arctan2(np.cos(phi) * np.tanh(mu), np.sin(phi))
-    return _triples(a, a, c)
+    return a, a, -np.arctan2(np.cos(phi) * np.tanh(mu), np.sin(phi))
 
 
-def _raw_point(spec: YbSpec) -> np.ndarray:
-    """Closed-form chamber point of the gate, before canonicalization.
+def _raw_point(spec: YbSpec) -> tuple:
+    """Closed-form coordinates (a1, a2, a3) of the gate, before canonicalization.
+
+    Each coordinate is computed in the broadcast shape of the parameters it
+    depends on, so a factor of phi or mu alone runs once per axis value.
 
     The atan2 forms keep full precision near mu = 0.  They overflow only
     with sinh mu or cosh mu, past |mu| ~710, as `build_yb` does.
@@ -370,7 +348,7 @@ def _raw_point(spec: YbSpec) -> np.ndarray:
     fam, kind = spec.family, spec.kind
     half_pi = math.pi / 2
     if fam == "IV":
-        return _triples(2 * spec.chi, 0.0, 0.0)
+        return 2 * spec.chi, 0.0, 0.0
     mu = spec.mu
     if fam in ("I", "II"):
         phi, _ = spec.phase_params()
@@ -380,7 +358,7 @@ def _raw_point(spec: YbSpec) -> np.ndarray:
         s, c = np.sin(phi / 2), np.cos(phi / 2)
         y, x = (c, s) if kind == 2 else (s, c)
         t = -2 * np.arctan2(y * np.tanh(mu / 2), x)
-        return _triples(half_pi, half_pi, half_pi - t)
+        return half_pi, half_pi, half_pi - t
     # family III
     p1 = spec.phi[0]
     if kind == 1:
@@ -395,19 +373,24 @@ def _raw_point(spec: YbSpec) -> np.ndarray:
     if np.any(np.hypot(u, v) < 1e-14):
         raise ValueError(f"singular parameters for family III kind-{kind} point")
     t = np.arctan2(np.abs(v), u)
-    return _triples(half_pi, half_pi, half_pi - 2 * t)
+    return half_pi, half_pi, half_pi - 2 * t
 
 
 @np.errstate(over="raise", divide="raise", invalid="raise")
 def yb_nonlocal_closed(spec: YbSpec) -> np.ndarray:
     """Closed-form canonical chamber point of the Yang-Baxter gate.
 
-    Shape (3,) for a scalar spec, (..., 3) for a batch spec of shape (...).
+    Shape (3,) for a scalar spec, and (..., 3) for a batch spec, where (...)
+    is the broadcast shape of all its parameters, used or not.
     Overflow, division by zero and invalid values raise FloatingPointError
     rather than leaving inf or nan in the result, and one singular point
     raises ValueError for the whole batch.
     """
-    return canonicalize(_raw_point(spec))
+    a1, a2, a3 = _raw_point(spec)
+    # every parameter sets the shape: family IV's point depends on chi alone
+    point = np.empty(np.broadcast(a1, a2, a3, spec.spectral, *spec.phi).shape + (3,))
+    point[..., 0], point[..., 1], point[..., 2] = a1, a2, a3
+    return canonicalize(point)
 
 
 def yb_ep(spec: YbSpec):

@@ -61,8 +61,8 @@ _PI_RE = re.compile(
 
 
 def parse_angle(v) -> float:
-    """Float or exact pi-expression string -> finite radians."""
-    if isinstance(v, (int, float)):
+    """Number (not a bool) or exact pi-expression string -> finite radians."""
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
         try:
             x = float(v)
         except OverflowError:
@@ -83,6 +83,24 @@ def parse_angle(v) -> float:
         raise InputError(f"cannot parse angle {v!r}")
     if not math.isfinite(x):
         raise InputError(f"angle {v!r} is not finite")
+    return x
+
+
+def _parse_angles(v) -> list:
+    """A JSON array of angles; a string or an object is not one."""
+    if not isinstance(v, list):
+        raise ValueError(f"phi must be an array of angles, got {v!r}")
+    return [parse_angle(p) for p in v]
+
+
+def parse_threshold(text: str) -> float:
+    """A finite --threshold; NaN would fail every comparison."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise InputError(f"threshold must be a finite number, got {text!r}")
     return x
 
 
@@ -120,25 +138,20 @@ def load_spec(obj):
     if key == "braid":
         body = obj["braid"]
         try:
-            spec = braid.BraidSpec(body["family"], [parse_angle(p) for p in body["phi"]])
+            spec = braid.BraidSpec(body["family"], _parse_angles(body["phi"]))
         except (KeyError, TypeError, ValueError) as e:
             raise InputError(f"bad braid spec: {e}")
         return braid.build_braid(spec), spec
     body = obj["yb"]
     try:
         family = body["family"]
-        if family == "IV":
-            spectral = parse_angle(body["chi"])
-        else:
-            spectral = parse_angle(body["mu"])
+        spectral = parse_angle(body["chi" if family == "IV" else "mu"])
         kind = body.get("kind", 1)
         if isinstance(kind, bool) or not (
             isinstance(kind, int) or (isinstance(kind, float) and kind.is_integer())
         ):
             raise ValueError(f"kind must be an integer, got {kind!r}")
-        spec = baxterize.YbSpec(
-            family, int(kind), spectral, [parse_angle(p) for p in body["phi"]]
-        )
+        spec = baxterize.YbSpec(family, int(kind), spectral, _parse_angles(body["phi"]))
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"bad yb spec: {e}")
     return baxterize.build_yb(spec), spec
@@ -353,7 +366,10 @@ def parse_grid(text: str) -> list:
         if len(parts) != 4:
             raise InputError("linear grid is lin:<start>:<stop>:<count>")
         start, stop = parse_angle(parts[1]), parse_angle(parts[2])
-        count = int(parts[3])
+        try:
+            count = int(parts[3])
+        except ValueError:
+            raise InputError(f"linear grid count must be an integer, got {parts[3]!r}") from None
         if count < 1:
             raise InputError("empty grid")
         return np.linspace(start, stop, count).tolist()
@@ -386,14 +402,14 @@ def _distinct_values(x: np.ndarray) -> np.ndarray | None:
 
 def cmd_sweep(args) -> int:
     phis, mus = parse_grid(args.phi_grid), parse_grid(args.mu_grid)
-    # one batch spec broadcasts a phi column and a mu row; rows run over mu within each phi
+    # one batch spec of a phi column and a mu row; rows run over mu within each phi
     spec = _sweep_spec(args.family, args.kind, np.array(phis)[:, None], np.array(mus)[None, :])
     a = baxterize.yb_nonlocal_closed(spec)
     # yb_ep's formula, on the point at hand
     ep = weyl.entangling_power_from_point(a)
     # one cell per CSV value; + 0.0 normalizes negative zeros out of the CSV.
     # Each grid value is formatted once, not once per row
-    cells = np.empty(spec.spectral.shape + (6,), dtype=object)
+    cells = np.empty(a.shape[:-1] + (6,), dtype=object)
     cells[..., 0] = _format_17g([v + 0.0 for v in phis])[:, None]
     cells[..., 1] = _format_17g([v + 0.0 for v in mus])
     point = np.concatenate([a, ep[..., None]], axis=-1) + 0.0
@@ -431,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_spec(pv)
     pv.add_argument("--mu", type=parse_angle, default=0.5)
     pv.add_argument("--nu", type=parse_angle, default=0.7)
-    pv.add_argument("--threshold", type=float, default=1e-8)
+    pv.add_argument("--threshold", type=parse_threshold, default=1e-8)
 
     ps = sub.add_parser("synth", help="emit a minimal-CNOT circuit")
     add_spec(ps)

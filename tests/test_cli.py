@@ -154,6 +154,45 @@ def test_yb_kind_must_be_an_integer(capsys, monkeypatch, kind, code):
         assert err.startswith("error: bad yb spec: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"braid": {"family": "I", "phi": "0123"}},
+        {"braid": {"family": "III", "phi": {"0.3": 0, "0.2": 1}}},
+        {"braid": {"family": "III", "phi": [False, 0.2]}},
+        {"yb": {"family": "I", "kind": 1, "mu": True, "phi": [0.1, 0.2, 0.3]}},
+        {"yb": {"family": "IV", "kind": 1, "chi": False, "phi": [0.7]}},
+        {"yb": {"family": "I", "kind": 1, "mu": 0.4, "phi": "012"}},
+        {"yb": {"family": "III", "kind": 2, "mu": 0.4, "phi": {"0.8": 0, "1.2": 1}}},
+        {"yb": {"family": "I", "kind": 1, "mu": 0.4, "phi": [True, 0.2, 0.3]}},
+    ],
+)
+def test_phi_is_an_array_and_booleans_are_not_angles(capsys, monkeypatch, spec):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(spec)))
+    code, out, err = run(capsys, "verify", "-")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: bad {next(iter(spec))} spec: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("threshold, code", [("nan", 2), ("inf", 2), ("-inf", 2), ("1e-8", 0), ("-1e-3", 1)])
+def test_verify_threshold_must_be_finite(capsys, monkeypatch, threshold, code):
+    spec = {"braid": {"family": "I", "phi": [0.3, 1.2, 2.1, 0.5]}}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(spec)))
+    got, out, err = run(capsys, "verify", "-", "--threshold", threshold)
+    assert got == code
+    if code == 2:
+        assert out == ""
+        assert f"threshold must be a finite number, got {threshold!r}" in err
+
+
+def test_linear_grid_count_must_be_an_integer(capsys):
+    code, out, err = run(capsys, "sweep", "--family", "I", "--phi-grid", "lin:0:1:2.5", "--mu-grid", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: linear grid count must be an integer, got '2.5'\n"
+
+
 def test_parse_grid():
     assert cli.parse_grid("0,pi/2") == [0.0, PI / 2]
     lin = cli.parse_grid("lin:0:pi:5")
