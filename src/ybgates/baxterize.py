@@ -74,6 +74,16 @@ class YbSpec:
             raise AttributeError("families I-III are parameterized by mu")
         return self.spectral
 
+    def at(self, spectral: float) -> YbSpec:
+        """This gate at another spectral parameter (mu, or chi for family IV).
+
+        The family, kind and phases were validated when this spec was made,
+        so the copy is not validated again.
+        """
+        spec = object.__new__(YbSpec)
+        spec.__dict__.update(family=self.family, kind=self.kind, spectral=float(spectral), phi=self.phi)
+        return spec
+
     def braid_spec(self) -> BraidSpec:
         if self.family == "I":
             p1, p2, p3 = self.phi
@@ -299,9 +309,7 @@ def ybe_residual(spec: YbSpec, mu: float, nu: float) -> float:
     measured modulo one global scale.  Scalar specs only.
     """
     def gate(s: float) -> np.ndarray:
-        if spec.family == "IV":
-            return build_yb(YbSpec("IV", 1, x_to_chi(math.exp(s)), spec.phi))
-        return build_yb(YbSpec(spec.family, spec.kind, s, spec.phi))
+        return build_yb(spec.at(x_to_chi(math.exp(s)) if spec.family == "IV" else s))
 
     rx, ry, rxy = gate(mu), gate(nu), gate(mu + nu)
     a = _left(rx, _right(rxy, kron(ry, I2)))
@@ -313,7 +321,7 @@ def braid_limit_residual(spec: YbSpec, mu_large: float) -> float:
     """Distance (up to phase) between R(mu = -|mu_large|) and the braid gate."""
     if spec.family == "IV":
         raise ValueError("the braid limit check applies to families I-III")
-    r = build_yb(YbSpec(spec.family, spec.kind, -abs(mu_large), spec.phi))
+    r = build_yb(spec.at(-abs(mu_large)))
     bs = spec.braid_spec()
     if spec.family == "III" and spec.kind == 2:
         # the fixed diagonal gauge of this gate shifts phi_2 by pi,

@@ -23,10 +23,18 @@ _PAULI_NAMES = ("I", "X", "Y", "Z")
 _PAULI_LABELS = [a + b for a, b in itertools.product(_PAULI_NAMES, repeat=2)]
 _GENERATOR_NAMES = ("XI", "ZI", "IX", "IZ")
 _GENERATORS = PAULI_STRINGS[[4, 12, 1, 3]]
+# Each generator G is a real signed permutation matrix, so U G is U with its
+# columns permuted and signed: the four products U G, stacked as (16, 4),
+# are u.ravel().take(_GEN_TAKE) * _GEN_SIGNS.
+_GEN_ROWS = np.abs(_GENERATORS).argmax(axis=1)  # [g, j]: the nonzero row of column j
+_GEN_TAKE = (4 * np.arange(4)[:, None] + _GEN_ROWS[:, None, :]).reshape(16, 4)
+# a column's one nonzero entry is its sum
+_GEN_SIGNS = np.repeat(_GENERATORS.real.sum(axis=1), 4, axis=0)
 # t = vec(m) @ _PAULI_DUAL holds the overlaps tr(P^dag m) / 4 with each Pauli string
 _PAULI_DUAL = PAULI_STRINGS.conj().reshape(16, 16).T / 4
 _PHASES = (1, 1j, -1, -1j)
 _PHASE_VALUES = np.array(_PHASES)
+_ROWS = np.arange(4)
 
 # entries outside the X pattern: off both the diagonal and the antidiagonal
 _OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
@@ -41,13 +49,16 @@ def clifford_table(u: np.ndarray):
     Frobenius distance of the image from phase * string.
     """
     u = np.asarray(u, dtype=complex)
-    images = u @ _GENERATORS @ dagger(u)
+    images = (u.ravel().take(_GEN_TAKE) * _GEN_SIGNS) @ dagger(u)
     t = images.reshape(4, 16) @ _PAULI_DUAL
-    k = np.maximum(np.abs(t.real), np.abs(t.imag)).argmax(axis=1)
-    j = np.abs(t[np.arange(4), k][:, None] - _PHASE_VALUES).argmin(axis=1)
-    diff = (images - _PHASE_VALUES[j][:, None, None] * PAULI_STRINGS[k]).reshape(4, 16)
-    # the Frobenius norm of each image's difference
-    resid = np.sqrt((diff.real**2 + diff.imag**2).sum(axis=1))
+    # each row of t as 32 floats, real and imaginary parts interleaved
+    v = t.view(float)
+    k = np.abs(v).argmax(axis=1) // 2
+    j = np.abs(t[_ROWS, k][:, None] - _PHASE_VALUES).argmin(axis=1)
+    # the Pauli strings are orthogonal with norm 2, so the Frobenius norm of
+    # image - phase * string is twice the norm of t - phase * e_k
+    t[_ROWS, k] -= _PHASE_VALUES[j]
+    resid = 2 * np.sqrt((v * v).sum(axis=1))
     return {
         name: (_PAULI_LABELS[kk], _PHASES[jj], r)
         for name, kk, jj, r in zip(_GENERATOR_NAMES, k.tolist(), j.tolist(), resid.tolist())
@@ -73,8 +84,7 @@ def matchgate_dets(u: np.ndarray):
 
 def x_shape_residual(u: np.ndarray) -> float:
     """Frobenius norm of the entries outside the X pattern."""
-    u = np.asarray(u, dtype=complex)
-    return float(np.linalg.norm(u[_OFF_X]))
+    return frob(np.asarray(u, dtype=complex)[_OFF_X])
 
 
 def _is_matchgate(u: np.ndarray, dets: tuple) -> bool:

@@ -201,9 +201,9 @@ def build_report(u: np.ndarray, spec, seed: int, mc_samples: int, mu: float, nu:
     # the chamber point, and what is read off it, is of the nearest unitary;
     # residuals, classification and the Monte Carlo estimate are of u.
     # The exact image keeps a3 in [-CHAMBER_TOL, 0] on the base band;
-    # the reported point is clamped into the chamber, and read once as
-    # Python floats
-    a = weyl.canonicalize(weyl.extract_nonlocal(gate)).tolist()
+    # the reported point is clamped into the chamber on Python floats,
+    # and + 0.0 writes a negative zero as 0.0
+    a = [x + 0.0 for x in weyl.canonical_point(weyl.extract_nonlocal(gate).tolist())]
     cls = classify.classify_gate(u, spec)
     ybe = None
     if isinstance(spec, baxterize.YbSpec):
@@ -246,7 +246,9 @@ def _json_scalar(v) -> str:
         return "false"
     elif isinstance(v, int):
         return int.__repr__(v)
-    # non-finite floats, strings and empty containers
+    elif isinstance(v, str):
+        return _quote(v)
+    # non-finite floats and empty containers
     return json.dumps(v)
 
 
@@ -476,6 +478,8 @@ def _option_strings(parser: argparse.ArgumentParser) -> frozenset:
 # built once: argparse parsers hold no state between parse_args calls
 _PARSER = build_parser()
 _OPTIONS = _option_strings(_PARSER)
+# each command's own parser, by name
+_COMMAND_PARSERS = next(a.choices for a in _PARSER._actions if isinstance(a.choices, dict))
 # flags whose value may start with "-": angles, grids and the threshold
 _SIGNED_FLAGS = frozenset({"--phi-grid", "--mu-grid", "--mu", "--nu", "--threshold"})
 
@@ -497,10 +501,20 @@ def _attach_signed_values(argv: list) -> list:
     return out
 
 
+def _parse_args(argv: list) -> argparse.Namespace:
+    """The flags of the command named first in argv, read by that command's
+    parser alone; the top-level parser handles -h and a missing or unknown
+    command."""
+    command = argv[0] if argv else None
+    if command not in _COMMAND_PARSERS:
+        return _PARSER.parse_args(argv)
+    return _COMMAND_PARSERS[command].parse_args(argv[1:], argparse.Namespace(command=command))
+
+
 def main(argv=None) -> int:
     argv = _attach_signed_values(sys.argv[1:] if argv is None else argv)
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     # looked up at call time, so a cmd_* rebound on this module (a tracing

@@ -70,7 +70,7 @@ def _magic_frame(u: np.ndarray, det) -> np.ndarray:
 # Weyl chamber canonicalization
 # ---------------------------------------------------------------------------
 
-def _canonical_point(raw, clamp: bool = True) -> np.ndarray:
+def _canonical_point(raw, clamp: bool = True) -> list:
     """Reduce a raw coordinate triple to the chamber, on Python floats.
 
     Each a_i is shifted into [0, pi), the triple is sorted descending,
@@ -101,7 +101,7 @@ def _canonical_point(raw, clamp: bool = True) -> np.ndarray:
     if a[2] <= CHAMBER_TOL and a[0] > pi / 2:
         a[0], a[2] = -a[0] + pi, 0.0 if clamp else -a[2]
         sort_desc()
-    return np.array(a)
+    return a
 
 
 def _sort_desc(a: np.ndarray) -> np.ndarray:
@@ -127,7 +127,7 @@ def canonicalize(raw) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("canonicalize requires finite coordinates")
     if a.shape == (3,):
-        return _canonical_point(a.tolist())
+        return np.array(_canonical_point(a.tolist()))
     pi = math.pi
     n = np.floor(a / pi)
     a = _sort_desc(np.where(n != 0, a - n * pi, a))
@@ -143,6 +143,19 @@ def canonicalize(raw) -> np.ndarray:
     return _sort_desc(a)
 
 
+def canonical_point(raw) -> list:
+    """`canonicalize` of one raw triple, bit for bit, as three Python floats.
+
+    The same checks and the same reduction, with no array made: for a
+    point that is read as numbers, as a report reads it.
+    """
+    if len(raw) != 3:
+        raise ValueError(f"canonical_point takes 3 coordinates, got {len(raw)}")
+    if not all(map(math.isfinite, raw)):
+        raise ValueError("canonicalize requires finite coordinates")
+    return _canonical_point(raw)
+
+
 def _chamber_point(angles: np.ndarray) -> np.ndarray:
     """Chamber point of a gate from the eigenphases of m = ubar^T ubar.
 
@@ -154,7 +167,7 @@ def _chamber_point(angles: np.ndarray) -> np.ndarray:
     half = angles / 2
     if math.cos(half.sum()) < 0:
         half[0] += math.pi
-    return _canonical_point((half @ _PHASE_MAP / 2).tolist(), clamp=False)
+    return np.array(_canonical_point((half @ _PHASE_MAP / 2).tolist(), clamp=False))
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 
 from ybgates.baxterize import (
     YbSpec,
+    _left,
+    _right,
     baxterize2,
     baxterize3,
     baxterized_gate,
     braid_eigenvalues,
     braid_limit_residual,
     build_yb,
+    scaled_distance,
     chi_to_x,
     normalize_gate,
     x_to_chi,
@@ -22,7 +25,7 @@ from ybgates.baxterize import (
 )
 from ybgates.braid import BraidSpec, build_braid
 from ybgates.cli import _sweep_spec
-from ybgates.linalg import phase_distance, unitarity_residual
+from ybgates.linalg import I2, kron, phase_distance, unitarity_residual
 from ybgates.weyl import (
     canonicalize,
     chamber_location,
@@ -111,6 +114,36 @@ def test_ybe_residual_matches_kron_products(family_kind, mu, nu, phases):
     assume(abs(mu + nu) >= 0.05)
     spec = YbSpec(family, kind, 0.3, tuple(phases[: PHI_COUNT[family]]))
     assert abs(ybe_residual(spec, mu, nu) - ybe_residual_by_kron(spec, mu, nu)) <= 1e-14
+
+
+def ybe_residual_of_new_specs(spec, mu, nu):
+    """The YBE residual as ybe_residual forms it, from gates built with
+    build_yb on a new, validated YbSpec at each spectral parameter."""
+
+    def gate(s):
+        if spec.family == "IV":
+            return build_yb(YbSpec("IV", 1, x_to_chi(math.exp(s)), spec.phi))
+        return build_yb(YbSpec(spec.family, spec.kind, s, spec.phi))
+
+    rx, ry, rxy = gate(mu), gate(nu), gate(mu + nu)
+    a = _left(rx, _right(rxy, kron(ry, I2)))
+    b = _right(ry, _left(rxy, kron(I2, rx)))
+    return scaled_distance(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ALL_GATES), spectral, spectral, spectral,
+       st.lists(st.floats(0, 2 * PI), min_size=3, max_size=3))
+@example(("IV", 1), 0.5, 0.7, 0.3, [0.0, 0.0, 0.0])
+@example(("III", 2), -1.2, 0.4, 0.8, [0.6, PI / 2, 0.0])
+def test_ybe_residual_is_the_residual_of_new_specs_bit_for_bit(family_kind, mu, nu, s, phases):
+    """ybe_residual re-uses the caller's validated fields for its three gates;
+    the gates, and so the residual, are those of specs built anew."""
+    family, kind = family_kind
+    assume(abs(mu + nu) >= 0.05)
+    spec = YbSpec(family, kind, s, tuple(phases[: PHI_COUNT[family]]))
+    assert spec.at(mu) == YbSpec(family, kind, mu, spec.phi)
+    assert ybe_residual(spec, mu, nu).hex() == ybe_residual_of_new_specs(spec, mu, nu).hex()
 
 
 @settings(max_examples=200)

@@ -694,6 +694,64 @@ def test_main_dispatches_to_the_current_command_function(tmp_path, monkeypatch, 
     assert seen == [command]
 
 
+_COMMAND_ARGV = {
+    "analyze": ["analyze", "-"],
+    "verify": ["verify", "-"],
+    "synth": ["synth", "-"],
+    "sweep": ["sweep", "--family", "I", "--phi-grid", "0", "--mu-grid", "0"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_ARGV))
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_unknown_flag_is_named_by_its_command(capsys, monkeypatch, command, where):
+    """Each command's flags are read by that command's own parser, so the
+    usage error names the command."""
+    argv = list(_COMMAND_ARGV[command])
+    argv.insert(1 if where == "first" else len(argv), "--no-such-flag")
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"named": "cnot"})))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"usage: ybgates {command} ")
+    assert err.endswith(f"ybgates {command}: error: unrecognized arguments: --no-such-flag\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        (["--no-such-flag", "analyze", "-"], "unrecognized arguments: --no-such-flag"),
+    ],
+)
+def test_missing_or_unknown_command_is_a_top_level_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: ybgates [-h] {analyze,verify,synth,sweep} ...\n")
+    assert f"ybgates: error: {message}" in err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["-h", "analyze"], *[[c, "-h"] for c in _COMMAND_ARGV]])
+def test_help_exits_zero(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    prog = "ybgates" if argv[0].startswith("-") else f"ybgates {argv[0]}"
+    assert out.startswith(f"usage: {prog} ")
+
+
+@pytest.mark.parametrize("spec", [
+    {"yb": {"family": "IV", "kind": 1, "chi": 0.3, "phi": [0]}},
+    {"yb": {"family": "IV", "kind": 1, "chi": "pi/8", "phi": [0.7]}},
+])
+def test_analyze_writes_no_negative_zero(capsys, monkeypatch, spec):
+    """A chamber coordinate that is zero is written as 0.0, never -0.0."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(spec)))
+    code, out, _ = run(capsys, "analyze", "-", "--mc-samples", "64")
+    assert code == 0 and "-0.0" not in out
+    point = json.loads(out)["nonlocal"]
+    assert all(math.copysign(1.0, x) == 1.0 for x in point) and 0.0 in point
+
+
 # --- signed flag values ----------------------------------------------------
 
 YB_SPEC = {"yb": {"family": "I", "kind": 1, "mu": 0.3, "phi": [0.1, 0.2, 0.3]}}

@@ -343,6 +343,20 @@ def test_reported_point_is_in_the_chamber(raw, seed):
         assert bare[2] == 0.0
 
 
+@given(boundary_points, seeds)
+@example((2.0, 0.5, 5e-8), 0)
+@example((PI / 2 + 1e-9, 0.2, weyl.CHAMBER_TOL), 1)
+@example((0.6, 0.0, 0.0), 2)
+def test_reported_point_is_the_canonicalized_point_bit_for_bit(raw, seed):
+    """The report reduces the point on Python floats, to the bits of
+    canonicalize on the array, and writes a negative zero as 0.0."""
+    for u in (core_gate(raw), _dressed(core_gate(raw), seed)):
+        reported = cli.build_report(u, None, 0, 16, 0.5, 0.7)["nonlocal"]
+        want = [x + 0.0 for x in canonicalize(extract_nonlocal(u)).tolist()]
+        assert _bits(reported).tolist() == _bits(want).tolist()
+        assert all(isinstance(x, float) and math.copysign(1.0, x) == 1.0 for x in reported)
+
+
 def _split_single(k):
     """The split of one 4x4 matrix, kept here as the oracle of the stacked split."""
     r = k.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
