@@ -170,7 +170,7 @@ def _read_spec_file(path: str):
 
 
 def _require_unitary(u: np.ndarray):
-    """(gate, residual) of an input matrix; exit 3 past UNITARY_TOL.
+    """(gate, residual) of an input matrix; exit 3 past UNITARY_TOL, 2 if not finite.
 
     `linalg.unitary_part` with the CLI's wider admission: a residual in
     (POLAR_TOL, UNITARY_TOL] gives the polar factor of u as the gate, and
@@ -179,6 +179,10 @@ def _require_unitary(u: np.ndarray):
     try:
         return unitary_part(u, UNITARY_TOL)
     except ValueError as e:
+        # a matrix spec holds finite entries only, so a non-finite gate was
+        # built from parameters that overflow
+        if not np.all(np.isfinite(u)):
+            raise InputError("gate parameters overflow: the gate is not finite") from None
         raise NonUnitaryError(str(e)) from None
 
 
@@ -388,18 +392,16 @@ def _sweep_spec(family: str, kind: int, phi, mu) -> baxterize.YbSpec:
     return baxterize.YbSpec("IV", kind, mu, (phi,))
 
 
-def _format_17g(values: list) -> np.ndarray:
-    """Each value written with %.17g, which reads back to the same float."""
-    return np.array(["%.17g" % v for v in values], dtype=object)
+def _pieces(template: str, values: list) -> list:
+    """template % v for each of the floats values, from one % over all of
+    them; "|" is in no %.17g text and in no family or kind."""
+    return ((template + "|") * len(values) % tuple(values)).split("|")[:-1]
 
 
-def _distinct_values(x: np.ndarray) -> np.ndarray | None:
-    """The distinct values of x, sorted, when at least half of x repeats; else None."""
-    ordered = np.sort(x.ravel())
-    new = ordered[1:] != ordered[:-1]
-    if 2 * (1 + np.count_nonzero(new)) > x.size:
-        return None
-    return ordered[np.concatenate(([True], new))]
+def _repeats_half(x: np.ndarray) -> bool:
+    """Whether at least half of the values of x repeat, by one sort."""
+    ordered = np.sort(x, axis=None)
+    return 2 * (1 + np.count_nonzero(ordered[1:] != ordered[:-1])) <= x.size
 
 
 def cmd_sweep(args) -> int:
@@ -409,25 +411,26 @@ def cmd_sweep(args) -> int:
     a = baxterize.yb_nonlocal_closed(spec)
     # yb_ep's formula, on the point at hand
     ep = weyl.entangling_power_from_point(a)
-    # one cell per CSV value; + 0.0 normalizes negative zeros out of the CSV.
-    # Each grid value is formatted once, not once per row
+    # one cell per CSV piece, each led by its separator; + 0.0 normalizes
+    # negative zeros out of the CSV. Each grid value is formatted once, not once per row
+    lead = _pieces(f"\n{args.family},{args.kind},%.17g", [v + 0.0 for v in phis])
     cells = np.empty(a.shape[:-1] + (6,), dtype=object)
-    cells[..., 0] = _format_17g([v + 0.0 for v in phis])[:, None]
-    cells[..., 1] = _format_17g([v + 0.0 for v in mus])
+    cells[..., 0] = np.array(lead, dtype=object)[:, None]
+    cells[..., 1] = _pieces(",%.17g", [v + 0.0 for v in mus])
     point = np.concatenate([a, ep[..., None]], axis=-1) + 0.0
-    # formatting each distinct value once pays for the sort and the index
+    # formatting each distinct value once pays for the dedupe and the index
     # from 10 rows on, once at least half of the a1, a2, a3, ep values repeat
     # (as on grids symmetric about 0, or along a chamber edge)
-    values = _distinct_values(point) if ep.size >= 10 else None
-    if values is None:
-        cells[..., 2:] = point
-        cell = ",%.17g"
+    if ep.size >= 10 and _repeats_half(point):
+        values, index = np.unique(point.ravel(), return_inverse=True)
+        table = np.array(_pieces(",%.17g", values.tolist()), dtype=object)
+        # of a flat input, every numpy version returns a flat inverse
+        cells[..., 2:] = table[index.reshape(point.shape)]
+        text = "".join(cells.ravel().tolist())
     else:
-        cells[..., 2:] = _format_17g(values.tolist())[np.searchsorted(values, point)]
-        cell = ",%s"
-    row = f"{args.family},{args.kind},%s,%s" + cell * 4 + "\n"
-    text = "family,kind,phi,mu,a1,a2,a3,ep\n" + (row * ep.size) % tuple(cells.ravel().tolist())
-    _emit(text, args.out)
+        cells[..., 2:] = point
+        text = ("%s%s" + ",%.17g" * 4) * ep.size % tuple(cells.ravel().tolist())
+    _emit("family,kind,phi,mu,a1,a2,a3,ep" + text + "\n", args.out)
     return 0
 
 

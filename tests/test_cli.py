@@ -100,6 +100,7 @@ def test_unallocatable_mc_samples_exit_two(capsys, monkeypatch):
 
 
 _YB_MU_800 = {"yb": {"family": "I", "kind": 1, "mu": 800, "phi": [0.1, 0.2, 0.3]}}
+_YB_PHASE_OVERFLOW = {"yb": {"family": "II", "kind": 3, "mu": 0.3, "phi": [1e308, -1e308, 1e308]}}
 
 
 @pytest.mark.parametrize(
@@ -112,6 +113,10 @@ _YB_MU_800 = {"yb": {"family": "I", "kind": 1, "mu": 800, "phi": [0.1, 0.2, 0.3]
          {"yb": {"family": "I", "kind": 1, "mu": 0.3, "phi": [0.1, 0.2, 0.3]}}),
         (("analyze", "-"), {"yb": {"family": "III", "kind": 2, "mu": 800, "phi": [0.3, 0.2]}}),
         (("synth", "-"), {"yb": {"family": "III", "kind": 3, "mu": -800, "phi": [0.3, 0.2]}}),
+        # omega = (p2 - p3) / 2 overflows to -inf, so the gate is NaN
+        (("analyze", "-"), _YB_PHASE_OVERFLOW),
+        (("verify", "-"), _YB_PHASE_OVERFLOW),
+        (("synth", "-"), _YB_PHASE_OVERFLOW),
     ],
 )
 def test_overflowing_spectral_parameter_exit_two(capsys, monkeypatch, argv, spec):
@@ -122,6 +127,7 @@ def test_overflowing_spectral_parameter_exit_two(capsys, monkeypatch, argv, spec
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "overflow" in err.lower()
 
 
 @pytest.mark.parametrize("kind", [2, 3])
@@ -581,6 +587,13 @@ grid_texts = st.one_of(
 # a table where most values repeat, and one where few do
 @example(("II", 2), "lin:-pi:pi:17", "lin:-1.5:1.5:9")
 @example(("I", 1), "0.3", "lin:0:2:100")
+# 9 rows, and 10, the fewest that are indexed
+@example(("I", 1), "lin:-1:1:3", "lin:-1:1:3")
+@example(("I", 1), "lin:-1:1:5", "-0.5,0.5")
+# 20 distinct values of 40, which are indexed, and 21 of 40, which are not
+@example(("I", 1), "0,0,0.5,-1,-pi/2", "0.5,1")
+@example(("I", 1), "0,0,0.5,-0.5,1", "0.5,1")
+@example(("I", 1), "lin:-pi:pi:65", "lin:-2:2:61")
 def test_sweep_csv_matches_per_row_formatting(family_kind, phi_grid, mu_grid):
     family, kind = family_kind
     try:
@@ -615,6 +628,17 @@ def test_sweep_csv_slice_grids_match_per_row_formatting(capsys, family, kind, n_
     else:
         assert (code, err) == (0, "")
         assert out == sweep_csv_per_row(family, kind, phi_grid, mu_grid)
+
+
+@pytest.mark.parametrize("phi_grid, mu_grid", [("lin:-pi:pi:25", "lin:-2:2:17"), ("0.3", "lin:0.1:2:200")])
+def test_sweep_out_file_matches_stdout(tmp_path, capsys, phi_grid, mu_grid):
+    """--out writes the bytes of stdout, for an indexed table (most values
+    repeat) and for one formatted in place (few do)."""
+    argv = ["sweep", "--family", "I", "--kind", "1", "--phi-grid", phi_grid, "--mu-grid", mu_grid]
+    code, out, _ = run(capsys, *argv)
+    path = tmp_path / "out.csv"
+    assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+    assert code == 0 and path.read_bytes() == out.encode()
 
 
 @pytest.mark.parametrize("command", ["sweep", "synth"])
