@@ -127,6 +127,9 @@ LATTICE_TOL = 1e-9
 def on_lattice(x: float, step: float, offset: float = 0.0) -> bool:
     """True iff x is within LATTICE_TOL of offset + k * step for integer k."""
     d = (x - offset) / step
+    if not math.isfinite(d):
+        raise ValueError(f"predicted angle {x} over the lattice step {step:.6g} is not finite: "
+                         "the phases overflow")
     return abs(d - round(d)) * step <= LATTICE_TOL
 
 

@@ -467,22 +467,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _option_strings(parser: argparse.ArgumentParser) -> frozenset:
-    """Every option string of the parser and of its subcommands' parsers."""
-    found = set()
-    for action in parser._actions:
-        found.update(action.option_strings)
-        if isinstance(action.choices, dict):  # the subcommand parsers
-            for sub in action.choices.values():
-                found |= _option_strings(sub)
-    return frozenset(found)
-
-
 # built once: argparse parsers hold no state between parse_args calls
 _PARSER = build_parser()
-_OPTIONS = _option_strings(_PARSER)
 # each command's own parser, by name
 _COMMAND_PARSERS = next(a.choices for a in _PARSER._actions if isinstance(a.choices, dict))
+# every option string of the top-level parser and of each command's parser
+_OPTIONS = frozenset().union(*(p._option_string_actions for p in (_PARSER, *_COMMAND_PARSERS.values())))
 # flags whose value may start with "-": angles, grids and the threshold
 _SIGNED_FLAGS = frozenset({"--phi-grid", "--mu-grid", "--mu", "--nu", "--threshold"})
 

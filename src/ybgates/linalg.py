@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 
-DEFAULT_TOL = 1e-9
 # Past this unitarity residual an admitted matrix is replaced by its polar
 # factor.  Rounding leaves about 1e-15; sym_unitary_eig checks its
 # reconstruction to 1e-9, so a KAK of the matrix itself fails from about
@@ -56,10 +55,6 @@ def frob(m: np.ndarray) -> float:
 def unitarity_residual(m: np.ndarray) -> float:
     m = np.asarray(m, dtype=complex)
     return frob(dagger(m) @ m - (I4 if m.shape == (4, 4) else np.eye(m.shape[0])))
-
-
-def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    return unitarity_residual(m) <= tol
 
 
 def unitary_part(u: np.ndarray, admit: float):

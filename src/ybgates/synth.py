@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baxterize import YbSpec, build_yb
-from .linalg import I2, I4, SX, SZ, dagger, kron, phase_distance
-from .weyl import CNOT, SWAP, kak_decompose, min_cnot_count
+from .linalg import I2, I4, SX, SZ, dagger, phase_distance
+from .weyl import kak_decompose, min_cnot_count
 
-_SINGLE_KINDS = ("H", "S", "SDG", "T", "TDG", "RZ")
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _S = np.diag([1, 1j]).astype(complex)
 _SDG = dagger(_S)
@@ -27,25 +26,12 @@ _T = np.diag([1, cmath.exp(0.25j * math.pi)]).astype(complex)
 _FIXED_1Q = {"H": _H, "S": _S, "SDG": _SDG, "T": _T, "TDG": dagger(_T)}
 # Every angle-free single-qubit gate as its entries (g00, g01, g10, g11).
 _ENTRIES_1Q = {kind: tuple(g.ravel().tolist()) for kind, g in _FIXED_1Q.items()}
-# Read-only 4x4 matrix of every angle-free op, keyed by (kind, qubits).
-_FIXED_OPS = {
-    (kind, (q,)): kron(g, I2) if q == 0 else kron(I2, g)
-    for kind, g in _FIXED_1Q.items()
-    for q in (0, 1)
-}
-_FIXED_OPS["CNOT", (0, 1)] = CNOT.copy()
-_FIXED_OPS["CNOT", (1, 0)] = SWAP @ CNOT @ SWAP
-for _m in _FIXED_OPS.values():
-    _m.setflags(write=False)
-# Rz(theta) on qubit q is diag(exp(0.5j * theta * _RZ_SIGNS[q])).
-_RZ_SIGNS = (np.array([-1, -1, 1, 1]), np.array([-1, 1, -1, 1]))
 # A CNOT permutes basis states: row order of CNOT @ m for each (control, target).
 _CNOT_ROWS = {(0, 1): (0, 1, 3, 2), (1, 0): (0, 3, 2, 1)}
 _ID_2X2 = (1 + 0j, 0j, 0j, 1 + 0j)
 # Every valid (kind, qubits) key.
-_OP_KEYS = frozenset(
-    [(kind, (q,)) for kind in _SINGLE_KINDS for q in (0, 1)] + [("CNOT", (0, 1)), ("CNOT", (1, 0))]
-)
+_OP_KEYS = frozenset([(kind, (q,)) for kind in (*_ENTRIES_1Q, "RZ") for q in (0, 1)]
+                     + [("CNOT", qubits) for qubits in _CNOT_ROWS])
 
 
 @dataclass(frozen=True)
@@ -74,14 +60,8 @@ class GateOp:
             raise ValueError(f"{self.kind} takes no angle")
 
     def matrix(self) -> np.ndarray:
-        """4x4 matrix of the op with qubit 0 as the left tensor factor.
-
-        Only RZ builds a matrix; every other op returns its read-only
-        entry of the fixed op table.
-        """
-        if self.kind == "RZ":
-            return np.diag(np.exp(0.5j * self.angle * _RZ_SIGNS[self.qubits[0]]))
-        return _FIXED_OPS[self.kind, self.qubits]
+        """4x4 matrix of the op, qubit 0 the left factor: its one-op circuit."""
+        return evaluate(Circuit([self]))
 
 
 # One shared instance of every angle-free op: GateOp is frozen, so circuits

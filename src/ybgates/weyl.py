@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    PAULI_STRINGS, dagger, frob, is_unitary, kron, phase_distance, sym_unitary_eig, unitary_part,
+    PAULI_STRINGS, dagger, frob, kron, phase_distance, sym_unitary_eig, unitary_part,
 )
 
 CHAMBER_TOL = 1e-7
@@ -294,11 +294,12 @@ def extract_nonlocal(u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def entangling_power(u: np.ndarray) -> float:
-    """Closed-form average output linear entropy over Haar product inputs."""
-    u = np.asarray(u, dtype=complex)
-    if not is_unitary(u, 1e-8):
-        raise ValueError("entangling_power requires a unitary input")
-    uq = _magic_frame(u, np.linalg.det(u))
+    """Closed-form average output linear entropy over Haar product inputs.
+
+    A u within 1e-8 of unitary gives the value of its polar factor.
+    """
+    gate, _ = unitary_part(u, 1e-8)
+    uq = _magic_frame(gate, np.linalg.det(gate))
     tr = np.trace(uq.T @ uq)
     ep = (2 / 9) * (1 - abs(tr) ** 2 / 16)
     return float(min(max(ep, 0.0), 2 / 9))

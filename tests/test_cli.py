@@ -101,6 +101,7 @@ def test_unallocatable_mc_samples_exit_two(capsys, monkeypatch):
 
 _YB_MU_800 = {"yb": {"family": "I", "kind": 1, "mu": 800, "phi": [0.1, 0.2, 0.3]}}
 _YB_PHASE_OVERFLOW = {"yb": {"family": "II", "kind": 3, "mu": 0.3, "phi": [1e308, -1e308, 1e308]}}
+_BRAID_PHASE_OVERFLOW = {"braid": {"family": "II", "phi": [1e308, -1e308, 1e308]}}
 
 
 @pytest.mark.parametrize(
@@ -117,6 +118,9 @@ _YB_PHASE_OVERFLOW = {"yb": {"family": "II", "kind": 3, "mu": 0.3, "phi": [1e308
         (("analyze", "-"), _YB_PHASE_OVERFLOW),
         (("verify", "-"), _YB_PHASE_OVERFLOW),
         (("synth", "-"), _YB_PHASE_OVERFLOW),
+        # the gates are finite, but the predicted angles of their lattice tests are not
+        (("analyze", "-"), _BRAID_PHASE_OVERFLOW),
+        (("analyze", "-"), {"braid": {"family": "III", "phi": [1.6e308, 0.2]}}),
     ],
 )
 def test_overflowing_spectral_parameter_exit_two(capsys, monkeypatch, argv, spec):
@@ -128,6 +132,19 @@ def test_overflowing_spectral_parameter_exit_two(capsys, monkeypatch, argv, spec
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "overflow" in err.lower()
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify", "synth"])
+def test_braid_gate_with_overflowing_phases(capsys, monkeypatch, command):
+    """Only analyze's lattice tests overflow, and its message names the
+    predicted angle; the braid gate itself is finite."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(_BRAID_PHASE_OVERFLOW)))
+    code, out, err = run(capsys, command, "-")
+    if command == "analyze":
+        assert (code, out) == (2, "")
+        assert err.startswith("error: predicted angle inf ") and err.endswith("the phases overflow\n")
+    else:
+        assert code == 0 and out
 
 
 @pytest.mark.parametrize("kind", [2, 3])
@@ -821,6 +838,15 @@ def test_flag_without_its_value_stays_a_usage_error(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "error: argument" in err
+
+
+def test_option_strings_are_every_flag_of_both_parsers():
+    """The option set that keeps a flag from being read as a signed value is
+    every option string of the top-level parser and of each command's parser."""
+    parsers = (cli._PARSER, *cli._COMMAND_PARSERS.values())
+    want = {s for p in parsers for a in p._actions for s in a.option_strings}
+    assert cli._OPTIONS == want
+    assert {"-h", "--help", "--mu", "--phi-grid", "--threshold", "--out"} <= want
 
 
 # --- the analyze report writer ----------------------------------------------

@@ -13,6 +13,7 @@ from ybgates.baxterize import YbSpec, build_yb
 from ybgates.braid import BraidSpec, build_braid
 from ybgates.linalg import I2, SZ, frob, kron, phase_distance
 from ybgates.synth import (
+    _OP_KEYS,
     _SHARED_OPS,
     _TEMPLATE_FRAMES,
     Circuit,
@@ -58,11 +59,7 @@ def test_evaluate_empty_and_involution():
 
 def test_evaluate_cnot():
     assert frob(evaluate(Circuit([GateOp("CNOT", (0, 1))])) - CNOT) == 0.0
-    # reversed orientation: control qubit 1 flips qubit 0, |01> <-> |11>
-    reversed_cnot = np.array(
-        [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
-    )
-    assert frob(GateOp("CNOT", (1, 0)).matrix() - reversed_cnot) == 0.0
+    assert frob(GateOp("CNOT", (1, 0)).matrix() - _CNOTS[1, 0]) == 0.0
 
 
 _GATES_2X2 = {
@@ -72,22 +69,32 @@ _GATES_2X2 = {
     "T": np.diag([1, cmath.exp(0.25j * PI)]),
     "TDG": np.diag([1, cmath.exp(-0.25j * PI)]),
 }
+# CNOT by (control, target); control qubit 1 flips qubit 0, |01> <-> |11>
+_CNOTS = {
+    (0, 1): np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+    (1, 0): np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex),
+}
 
 
-def test_op_table():
-    """Each op is the kron of its 2x2 gate, qubit 0 left; fixed ops are read-only."""
-    for kind, g in _GATES_2X2.items():
-        for q, expected in ((0, np.kron(g, I2)), (1, np.kron(I2, g))):
-            m = GateOp(kind, (q,)).matrix()
-            assert frob(m - expected) < 1e-15, (kind, q)
-            with pytest.raises(ValueError):
-                m[0, 0] = 2.0
-    for theta in (0.0, 0.3, -2.9, PI):
-        assert frob(GateOp("RZ", (0,), theta).matrix() - kron(rz_matrix(theta), I2)) < 1e-15
-        assert frob(GateOp("RZ", (1,), theta).matrix() - kron(I2, rz_matrix(theta))) < 1e-15
-    for qubits in ((0, 1), (1, 0)):
-        with pytest.raises(ValueError):
-            GateOp("CNOT", qubits).matrix()[0, 0] = 0.0
+def reference_matrix(op: GateOp) -> np.ndarray:
+    """4x4 matrix of an op from the tests' own gate table, qubit 0 left."""
+    if op.kind == "CNOT":
+        return _CNOTS[op.qubits]
+    g = rz_matrix(op.angle) if op.kind == "RZ" else _GATES_2X2[op.kind]
+    return np.kron(g, I2) if op.qubits == (0,) else np.kron(I2, g)
+
+
+@pytest.mark.parametrize("kind, qubits", sorted(_OP_KEYS),
+                         ids=[f"{k}-{''.join(map(str, q))}" for k, q in sorted(_OP_KEYS)])
+def test_op_table(kind, qubits):
+    """Each op is the kron of its 2x2 gate, qubit 0 left, or its CNOT; the
+    matrix is a fresh array, so writing to it leaves the next call alone."""
+    for angle in (0.0, 0.3, -2.9, PI) if kind == "RZ" else (None,):
+        op = GateOp(kind, qubits, angle)
+        m = op.matrix()
+        assert frob(m - reference_matrix(op)) < 1e-15, (kind, qubits, angle)
+        m[:] = 2.0
+        assert frob(op.matrix() - reference_matrix(op)) < 1e-15, (kind, qubits, angle)
 
 
 one_qubit = st.sampled_from([(0,), (1,)])
@@ -110,10 +117,11 @@ circuits = st.builds(
 
 @given(circuits)
 def test_evaluate_matches_per_op_product(c):
-    """The 2x2-accumulator evaluation equals the product of the 4x4 op matrices."""
+    """The 2x2-accumulator evaluation equals the product of the tests' own
+    4x4 op matrices."""
     u = np.eye(4, dtype=complex)
     for op in c.ops:
-        u = op.matrix() @ u
+        u = reference_matrix(op) @ u
     assert frob(evaluate(c) - cmath.exp(1j * c.phase) * u) <= 1e-13
 
 

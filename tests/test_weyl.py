@@ -514,6 +514,29 @@ def test_entangling_power_landmarks():
     assert entangling_power(ISWAP) == pytest.approx(2 / 9, abs=1e-12)
 
 
+@given(seeds, st.floats(-11.5, -8))
+@example(1, -9.5)
+@example(2, math.log10(0.999e-8))
+def test_entangling_power_of_near_unitary_gate_is_its_polar_factors(seed, log_residual):
+    """A unitarity residual in (1e-12, 1e-8] gives the value of the polar factor."""
+    u = _near_unitary(seed, 10.0**log_residual)
+    assume(1e-12 < unitarity_residual(u) <= 1e-8)
+    w, _ = sla.polar(u)
+    assert abs(entangling_power(u) - entangling_power(w)) <= 1e-15
+
+
+_NAN_CNOT = CNOT.copy()
+_NAN_CNOT[1, 1] = np.nan
+
+
+@pytest.mark.parametrize("u", [_near_unitary(3, 3e-8), 2 * CNOT, _NAN_CNOT], ids=["3e-8", "2cnot", "nan"])
+def test_entangling_power_rejects_non_unitary_input(u):
+    """A residual past 1e-8, NaN included, raises."""
+    assert not unitarity_residual(u) <= 1e-8
+    with pytest.raises(ValueError, match="not unitary"):
+        entangling_power(u)
+
+
 def test_entangling_power_mc_matches_closed_form():
     for u in (CNOT, SWAP, unitary_group.rvs(4, random_state=RNG)):
         mc = entangling_power_mc(u, 100000, seed=5)
