@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .braid import BraidSpec, build_braid
+from .braid import BraidSpec, build_braid, wrap_phase
 from .linalg import I2, I4, SX, dagger, frob, kron, phase_distance
 from .weyl import canonicalize, entangling_power_from_point
 
@@ -356,7 +356,7 @@ def _raw_point(spec: YbSpec) -> tuple:
     fam, kind = spec.family, spec.kind
     half_pi = math.pi / 2
     if fam == "IV":
-        return 2 * spec.chi, 0.0, 0.0
+        return 2 * wrap_phase(spec.chi), 0.0, 0.0
     mu = spec.mu
     if fam in ("I", "II"):
         phi, _ = spec.phase_params()

@@ -13,6 +13,22 @@ from .weyl import canonicalize, entangling_power_from_point
 
 FAMILIES = ("I", "II", "III", "IV")
 _PARAM_COUNT = {"I": 4, "II": 3, "III": 2, "IV": 1}
+_TWO_PI = 2 * math.pi
+
+
+def wrap_phase(x):
+    """The phase x as atan2(sin x, cos x) once |x| > 2 pi, else x itself.
+
+    A gate applies exact trig to each phase, while a linear form in the
+    phases (a sum, a multiple) read modulo pi or a lattice step loses the
+    phase past 2 pi, where the float spacing grows.  Every such modulus
+    here divides 2 pi, so the wrapped phase reads the same; a phase within
+    2 pi keeps its bits.  x is a float or an array.
+    """
+    if isinstance(x, np.ndarray):
+        big = np.abs(x) > _TWO_PI
+        return np.where(big, np.arctan2(np.sin(x), np.cos(x)), x) if big.any() else x
+    return math.atan2(math.sin(x), math.cos(x)) if abs(x) > _TWO_PI else x
 
 
 @dataclass(frozen=True)
@@ -92,10 +108,11 @@ def braid_residual(b: np.ndarray) -> float:
 
 
 def derived_angles(spec: BraidSpec) -> dict:
-    """Angle combinations entering the closed-form invariants."""
+    """Angle combinations entering the closed-form invariants, of the
+    phases wrapped by `wrap_phase`."""
     f = spec.family
     if f == "I":
-        p1, p2, p3, p4 = spec.phi
+        p1, p2, p3, p4 = map(wrap_phase, spec.phi)
         return {
             "phi_1": 0.5 * (-p1 - p2 + p3 + p4),
             "phi_2": 0.5 * (-p1 + p2 - p3 + p4),
@@ -103,7 +120,7 @@ def derived_angles(spec: BraidSpec) -> dict:
             "omega": 0.5 * (p2 - p3),
         }
     if f == "II":
-        p1, p2, p3 = spec.phi
+        p1, p2, p3 = map(wrap_phase, spec.phi)
         return {
             "phi_1": 0.5 * (-p2 + p3),
             "phi_2": 0.5 * (-p2 + 2 * p1 - p3),
@@ -122,7 +139,7 @@ def braid_nonlocal_closed(spec: BraidSpec) -> np.ndarray:
         t = derived_angles(spec)["phi_2"]
         raw = (pi / 2, pi / 2, pi / 2 - t)
     elif f == "III":
-        raw = (pi / 2, pi / 2, pi / 2 - 2 * spec.phi[0])
+        raw = (pi / 2, pi / 2, pi / 2 - 2 * wrap_phase(spec.phi[0]))
     else:
         raw = (pi / 2, 0.0, 0.0)
     return canonicalize(raw)

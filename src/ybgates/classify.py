@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baxterize import YbSpec
-from .braid import BraidSpec, derived_angles
+from .braid import BraidSpec, derived_angles, wrap_phase
 from .linalg import I4, PAULI_STRINGS, dagger, frob
 
 CLIFFORD_TOL = 1e-8
@@ -125,11 +125,13 @@ LATTICE_TOL = 1e-9
 
 
 def on_lattice(x: float, step: float, offset: float = 0.0) -> bool:
-    """True iff x is within LATTICE_TOL of offset + k * step for integer k."""
-    d = (x - offset) / step
-    if not math.isfinite(d):
-        raise ValueError(f"predicted angle {x} over the lattice step {step:.6g} is not finite: "
-                         "the phases overflow")
+    """True iff x is within LATTICE_TOL of offset + k * step for integer k.
+
+    Every step in use divides 2 pi, so x is read through `wrap_phase`.
+    """
+    if not math.isfinite(x):
+        raise ValueError(f"predicted angle {x} is not finite: the phases overflow")
+    d = (wrap_phase(x) - offset) / step
     return abs(d - round(d)) * step <= LATTICE_TOL
 
 

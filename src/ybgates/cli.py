@@ -204,10 +204,8 @@ def build_report(u: np.ndarray, spec, seed: int, mc_samples: int, mu: float, nu:
     gate, ures = _require_unitary(u)
     # the chamber point, and what is read off it, is of the nearest unitary;
     # residuals, classification and the Monte Carlo estimate are of u.
-    # The exact image keeps a3 in [-CHAMBER_TOL, 0] on the base band;
-    # the reported point is clamped into the chamber on Python floats,
-    # and + 0.0 writes a negative zero as 0.0
-    a = [x + 0.0 for x in weyl.canonical_point(weyl.extract_nonlocal(gate).tolist())]
+    # + 0.0 writes a negative zero as 0.0
+    a = [x + 0.0 for x in weyl.extract_nonlocal(gate).tolist()]
     cls = classify.classify_gate(u, spec)
     ybe = None
     if isinstance(spec, baxterize.YbSpec):
@@ -341,12 +339,11 @@ def _emit(text: str, out) -> None:
         sys.stdout.write(text)
         return
     try:
-        f = open(out, "w")
+        # such as a path in a missing directory, a directory itself or a full disk
+        with open(out, "w") as f:
+            f.write(text)
     except OSError as e:
-        # such as a path in a missing directory, or a directory itself
         raise InputError(f"cannot write output: {e}") from None
-    with f:
-        f.write(text)
 
 
 def cmd_synth(args) -> int:

@@ -143,31 +143,19 @@ def canonicalize(raw) -> np.ndarray:
     return _sort_desc(a)
 
 
-def canonical_point(raw) -> list:
-    """`canonicalize` of one raw triple, bit for bit, as three Python floats.
-
-    The same checks and the same reduction, with no array made: for a
-    point that is read as numbers, as a report reads it.
-    """
-    if len(raw) != 3:
-        raise ValueError(f"canonical_point takes 3 coordinates, got {len(raw)}")
-    if not all(map(math.isfinite, raw)):
-        raise ValueError("canonicalize requires finite coordinates")
-    return _canonical_point(raw)
-
-
-def _chamber_point(angles: np.ndarray) -> np.ndarray:
+def _chamber_point(angles: np.ndarray, clamp: bool) -> np.ndarray:
     """Chamber point of a gate from the eigenphases of m = ubar^T ubar.
 
     Half the phases are the magic-basis phases of a core gate up to a
     global phase, once pi is added to one of them if their sum is an odd
     multiple of pi (det ubar = 1 makes it a multiple of pi).  The point is
-    the exact Weyl image, a3 unclamped, so that KAK reconstructs the gate.
+    reduced as `_canonical_point` reduces it: clamped into the chamber, or,
+    with clamp=False, the exact Weyl image that KAK reconstructs the gate from.
     """
     half = angles / 2
     if math.cos(half.sum()) < 0:
         half[0] += math.pi
-    return np.array(_canonical_point((half @ _PHASE_MAP / 2).tolist(), clamp=False))
+    return np.array(_canonical_point((half @ _PHASE_MAP / 2).tolist(), clamp))
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +246,7 @@ def kak_decompose(u: np.ndarray) -> KakDecomposition:
     det = np.linalg.det(gate)
     ubar = _magic_frame(gate, det)
     angles, p = sym_unitary_eig(ubar.T @ ubar)
-    a = _chamber_point(angles)
+    a = _chamber_point(angles, clamp=False)
     d = _PHASE_MAP @ a
     dist = np.abs(np.exp(1j * angles)[:, None] - _SIGNS[:, None, None] * np.exp(1j * d))
     k, j = divmod(int(dist.take(_MATCH).max(axis=2).argmin()), 2)
@@ -279,14 +267,16 @@ def kak_decompose(u: np.ndarray) -> KakDecomposition:
 
 
 def extract_nonlocal(u: np.ndarray) -> np.ndarray:
-    """Canonical chamber coordinates of a two-qubit unitary.
+    """Canonical chamber coordinates of a two-qubit unitary, in the chamber.
 
     Only the spectrum of m = ubar^T ubar is needed (see `kak_decompose`).
-    A u within 1e-8 of unitary gives the point of its polar factor.
+    On the base band a3 is clamped to 0, where `kak_decompose(u).a` keeps
+    the exact Weyl image, down to a3 = -CHAMBER_TOL.  A u within 1e-8 of
+    unitary gives the point of its polar factor.
     """
     gate, _ = unitary_part(u, 1e-8)
     ubar = _magic_frame(gate, np.linalg.det(gate))
-    return _chamber_point(np.angle(np.linalg.eigvals(ubar.T @ ubar)))
+    return _chamber_point(np.angle(np.linalg.eigvals(ubar.T @ ubar)), clamp=True)
 
 
 # ---------------------------------------------------------------------------

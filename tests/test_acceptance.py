@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
 from ybgates.baxterize import (
@@ -109,6 +111,35 @@ def test_criterion_04_nonlocal_closed_forms():
             s = braid_draw(rng, family)
             d = np.max(np.abs(braid_nonlocal_closed(s) - extract_nonlocal(build_braid(s))))
             assert d < 1e-7
+
+
+large_angle = st.floats(-1e300, 1e300)
+# mu as criterion 04 draws it; build_yb returns the identity for |mu| < 1e-12
+# at a kind-1 pole, which the closed form does not follow
+mu_draw = st.floats(1e-9, 1.5).flatmap(lambda m: st.sampled_from([m, -m]))
+braid_large = st.sampled_from(sorted(BRAID_PHI)).flatmap(lambda f: st.builds(
+    BraidSpec, st.just(f), st.lists(large_angle, min_size=BRAID_PHI[f], max_size=BRAID_PHI[f])))
+yb_large = st.sampled_from(ALL_YB).flatmap(lambda fk: st.builds(
+    YbSpec, st.just(fk[0]), st.just(fk[1]), large_angle if fk[0] == "IV" else mu_draw,
+    st.lists(large_angle, min_size=YB_PHI[fk[0]], max_size=YB_PHI[fk[0]])))
+
+
+@given(st.one_of(braid_large, yb_large))
+@example(BraidSpec("III", (1e300, PI / 2)))
+@example(BraidSpec("II", (1e308, -1e308, 1e308)))
+@example(YbSpec("IV", 1, 1e300, (0.7,)))
+def test_criterion_04_past_two_pi(spec):
+    """Criterion 04 at phases, and family IV's chi, out to 1e300: the gate
+    applies exact trig to each phase, and the closed forms read it modulo
+    2 pi before it enters a linear form."""
+    try:
+        if isinstance(spec, BraidSpec):
+            closed, gate = braid_nonlocal_closed(spec), build_braid(spec)
+        else:
+            closed, gate = yb_nonlocal_closed(spec), build_yb(spec)
+    except ValueError:
+        assume(False)  # a singular Yang-Baxter gate
+    assert np.max(np.abs(closed - extract_nonlocal(gate))) < 1e-7
 
 
 def test_criterion_05_landmark_points():

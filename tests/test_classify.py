@@ -16,6 +16,7 @@ from ybgates.classify import (
     is_clifford,
     is_dual_unitary,
     is_matchgate,
+    on_lattice,
     predict_conditions,
     reshuffle,
 )
@@ -196,6 +197,30 @@ def test_braid_table_on_lattice_examples():
     s = BraidSpec("III", (PI / 4, PI / 2))
     assert predict_conditions(s)["clifford"]
     assert is_clifford(build_braid(s))
+
+
+def test_braid_predictions_at_large_phases():
+    """Each lattice test reads its angle modulo 2 pi, so predictions hold for
+    phases drawn log-uniform out to 1e300, and the sums of phases near the
+    float limit do not overflow."""
+    rng = np.random.default_rng(29)
+    specs = [BraidSpec("III", (1e300, PI / 2)), BraidSpec("II", (1e308, -1e308, 1e308))]
+    for _ in range(100):
+        for family, n in PHI_COUNT.items():
+            specs.append(BraidSpec(family, rng.choice([-1, 1], n) * 10 ** rng.uniform(0, 300, n)))
+    for s in specs:
+        assert numeric_verdicts(build_braid(s)) == predict_conditions(s)
+
+
+def test_lattice_points_many_turns_out():
+    """A lattice point shifted by whole turns stays on the lattice, and a
+    point off it stays off, past the 2 pi where angles are wrapped."""
+    rng = np.random.default_rng(30)
+    for step, offset in ((PI / 4, 0.0), (PI / 2, 0.0), (PI, PI / 2)):
+        for turns in rng.integers(-10**5, 10**5, 50):
+            x = offset + int(rng.integers(-8, 8)) * step + 2 * PI * int(turns)
+            assert on_lattice(x, step, offset)
+            assert not on_lattice(x + 1e-3, step, offset)
 
 
 def test_iswap_locus_conditions():

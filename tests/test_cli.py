@@ -118,9 +118,6 @@ _BRAID_PHASE_OVERFLOW = {"braid": {"family": "II", "phi": [1e308, -1e308, 1e308]
         (("analyze", "-"), _YB_PHASE_OVERFLOW),
         (("verify", "-"), _YB_PHASE_OVERFLOW),
         (("synth", "-"), _YB_PHASE_OVERFLOW),
-        # the gates are finite, but the predicted angles of their lattice tests are not
-        (("analyze", "-"), _BRAID_PHASE_OVERFLOW),
-        (("analyze", "-"), {"braid": {"family": "III", "phi": [1.6e308, 0.2]}}),
     ],
 )
 def test_overflowing_spectral_parameter_exit_two(capsys, monkeypatch, argv, spec):
@@ -134,17 +131,25 @@ def test_overflowing_spectral_parameter_exit_two(capsys, monkeypatch, argv, spec
     assert "overflow" in err.lower()
 
 
+_BRAID_LARGE_PHASES = [
+    _BRAID_PHASE_OVERFLOW,
+    {"braid": {"family": "III", "phi": [1.6e308, 0.2]}},
+    {"braid": {"family": "III", "phi": [1e300, 1.5707963267948966]}},
+]
+
+
 @pytest.mark.parametrize("command", ["analyze", "verify", "synth"])
 def test_braid_gate_with_overflowing_phases(capsys, monkeypatch, command):
-    """Only analyze's lattice tests overflow, and its message names the
-    predicted angle; the braid gate itself is finite."""
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(_BRAID_PHASE_OVERFLOW)))
-    code, out, err = run(capsys, command, "-")
-    if command == "analyze":
-        assert (code, out) == (2, "")
-        assert err.startswith("error: predicted angle inf ") and err.endswith("the phases overflow\n")
-    else:
+    """Braid gates are finite at any finite phases, and analyze's lattice
+    tests read each phase modulo 2 pi, so their sums do not overflow and
+    the predicted classes are the numeric ones."""
+    for spec in _BRAID_LARGE_PHASES:
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(spec)))
+        code, out, err = run(capsys, command, "-")
         assert code == 0 and out
+        if command == "analyze":
+            report = json.loads(out)
+            assert err == "" and report["predicted"] == report["classification"]
 
 
 @pytest.mark.parametrize("kind", [2, 3])
@@ -510,6 +515,18 @@ def test_sweep_family_iv_closed_form(tmp_path, capsys):
         assert ep == pytest.approx((2 / 9) * math.sin(2 * chi) ** 2, abs=1e-12)
 
 
+def test_sweep_family_iv_past_two_pi(capsys):
+    """A chi grid past 2 pi gives, row by row, the point of the built gate."""
+    chis = [7.0, -7.0, 1e6, 1e300, -1e300, 2 * PI]
+    code, out, _ = run(capsys, "sweep", "--family", "IV", "--phi-grid", "0.5,9",
+                       "--mu-grid", ",".join(map(repr, chis)))
+    assert code == 0
+    for line in out.strip().splitlines()[1:]:
+        phi, chi, a1, a2, a3, _ = (float(v) for v in line.split(",")[2:])
+        g = baxterize.build_yb(baxterize.YbSpec("IV", 1, chi, (phi,)))
+        assert np.max(np.abs(np.array([a1, a2, a3]) - weyl.extract_nonlocal(g))) < 1e-7
+
+
 def test_sweep_row_order_and_digits(tmp_path, capsys):
     code, out, _ = run(
         capsys, "sweep", "--family", "II", "--kind", "2",
@@ -658,17 +675,57 @@ def test_sweep_out_file_matches_stdout(tmp_path, capsys, phi_grid, mu_grid):
     assert code == 0 and path.read_bytes() == out.encode()
 
 
-@pytest.mark.parametrize("command", ["sweep", "synth"])
-@pytest.mark.parametrize("target", ["missing", "directory"])
-def test_unwritable_out_exits_two(tmp_path, capsys, command, target):
-    out_path = tmp_path / "no-such-dir" / "out.txt" if target == "missing" else tmp_path
+def _out_argv(tmp_path, command) -> list:
     if command == "sweep":
-        argv = ["sweep", "--family", "I", "--phi-grid", "0.3", "--mu-grid", "0.5"]
-    else:
-        argv = ["synth", write_spec(tmp_path, {"named": "cnot"})]
-    code, out, err = run(capsys, *argv, "--out", str(out_path))
+        return ["sweep", "--family", "I", "--phi-grid", "0.3", "--mu-grid", "0.5"]
+    return ["synth", write_spec(tmp_path, {"named": "cnot"})]
+
+
+@pytest.mark.parametrize("command", ["sweep", "synth"])
+@pytest.mark.parametrize("target", ["missing", "directory", "full"])
+def test_unwritable_out_exits_two(tmp_path, capsys, command, target):
+    if target == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    out_path = {"missing": tmp_path / "no-such-dir" / "out.txt", "directory": tmp_path,
+                "full": "/dev/full"}[target]
+    code, out, err = run(capsys, *_out_argv(tmp_path, command), "--out", str(out_path))
     assert (code, out) == (2, "")
-    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert err.count("\n") == 1 and err.startswith("error: cannot write output: ")
+
+
+class _FailingFile(io.StringIO):
+    """A file whose write or close fails as on a full disk."""
+
+    def __init__(self, failing: str):
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(28, "No space left on device")
+        return super().write(text)
+
+    def close(self):
+        super().close()
+        if self.failing == "close":
+            raise OSError(5, "Input/output error")
+
+
+@pytest.mark.parametrize("command", ["sweep", "synth"])
+@pytest.mark.parametrize("failing", ["write", "close"])
+def test_failed_out_write_exits_two(tmp_path, capsys, monkeypatch, command, failing):
+    """An --out file that opens but cannot be written or closed is an input
+    error too, with one line naming the OS error."""
+    argv = _out_argv(tmp_path, command)
+
+    def fake_open(path, mode="r"):
+        # the spec is read as usual
+        return _FailingFile(failing) if mode == "w" else open(path, mode)
+
+    monkeypatch.setattr(cli, "open", fake_open, raising=False)
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out.txt"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write output: [Errno ") and err.count("\n") == 1
 
 
 def test_stdin_spec(capsys, monkeypatch):
