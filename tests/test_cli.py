@@ -140,16 +140,24 @@ _BRAID_LARGE_PHASES = [
 
 @pytest.mark.parametrize("command", ["analyze", "verify", "synth"])
 def test_braid_gate_with_overflowing_phases(capsys, monkeypatch, command):
-    """Braid gates are finite at any finite phases, and analyze's lattice
-    tests read each phase modulo 2 pi, so their sums do not overflow and
-    the predicted classes are the numeric ones."""
+    """Braid gates are finite at any finite phases."""
     for spec in _BRAID_LARGE_PHASES:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(spec)))
         code, out, err = run(capsys, command, "-")
         assert code == 0 and out
-        if command == "analyze":
-            report = json.loads(out)
-            assert err == "" and report["predicted"] == report["classification"]
+
+
+@pytest.mark.parametrize(
+    "spec", _BRAID_LARGE_PHASES, ids=["II-overflow", "III-overflow", "III-1e300"]
+)
+def test_analyze_predicts_braid_class_at_overflowing_phases(capsys, monkeypatch, spec):
+    """analyze's lattice tests read each phase modulo 2 pi, so their sums
+    do not overflow and the predicted classes are the numeric ones."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(spec)))
+    code, out, err = run(capsys, "analyze", "-")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["predicted"] == report["classification"]
 
 
 @pytest.mark.parametrize("kind", [2, 3])
