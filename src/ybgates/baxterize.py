@@ -50,10 +50,10 @@ class YbSpec:
             np.asarray(v, dtype=float) if isinstance(v, np.ndarray) else float(v)
             for v in (self.spectral, *self.phi)
         ]
-        shapes = [v.shape for v in params if isinstance(v, np.ndarray)]
-        if shapes:
+        arrays = [v for v in params if isinstance(v, np.ndarray)]
+        if arrays:
             # raises ValueError for shapes that do not broadcast together
-            np.broadcast_shapes(*shapes)
+            np.broadcast(*arrays)
         object.__setattr__(self, "spectral", params[0])
         object.__setattr__(self, "phi", tuple(params[1:]))
         want = _YB_PARAM_COUNT[self.family]
@@ -215,10 +215,11 @@ def build_yb(spec: YbSpec) -> np.ndarray:
         ew = cmath.exp(1j * omega)
         if kind == 1:
             den = cmath.sin(phi - 1j * mu)
-            if abs(den) < 1e-12:
-                if abs(mu) < 1e-12:
-                    return np.eye(4, dtype=complex)
-                raise ValueError("singular parameters for kind-1 gate")
+            # |den|^2 = sin^2 phi + sinh^2 mu, so the ratios below stay accurate
+            # for any den != 0; den = 0 at phi = mu = 0, where the limit along
+            # mu = 0 is the identity
+            if den == 0:
+                return np.eye(4, dtype=complex)
             d = cmath.sin(phi) / den
             o = -1j * cmath.sinh(mu) / den
             inner = np.array([[d, ew * o], [o / ew, d]], dtype=complex)
@@ -247,11 +248,11 @@ def build_yb(spec: YbSpec) -> np.ndarray:
     if kind == 1:
         co = cmath.cosh(mu + 1j * p1)
         si = cmath.sinh(mu + 1j * p1)
-        if abs(co) < 1e-12 or abs(si) < 1e-12:
-            if abs(mu) < 1e-12:
-                # sinh(i phi1) -> 0 at phi1 = k pi together with mu = 0: identity
-                return np.eye(4, dtype=complex)
-            raise ValueError("singular parameters for family III kind-1 gate")
+        # |co|^2 = sinh^2 mu + cos^2 p1 and |si|^2 = sinh^2 mu + sin^2 p1, so
+        # the ratios below stay accurate for any nonzero co and si; si = 0 at
+        # p1 = mu = 0, where the limit along mu = 0 is the identity
+        if co == 0 or si == 0:
+            return np.eye(4, dtype=complex)
         return np.array(
             [
                 [ch * c1 / co, 0, 0, -e2 * sh * s1 / co],

@@ -172,12 +172,18 @@ def _predict_braid(spec: BraidSpec) -> dict:
             "dual_unitary": True,
         }
     if f == "III":
+        # the gate's entries are cos p1, sin p1 and sin p1 e^{+-i p2}
         p1, p2 = spec.phi
-        return {
-            "clifford": on_lattice(p1, math.pi / 4) and on_lattice(p2, math.pi, math.pi / 2),
-            "matchgate": False,
-            "dual_unitary": True,
-        }
+        if on_lattice(p1, math.pi):
+            # sin p1 = 0: a signed SWAP, whatever p2
+            cl = True
+        elif on_lattice(p1, math.pi, math.pi / 2):
+            # cos p1 = 0: a permutation with phases +-i and +-e^{+-i p2}
+            cl = on_lattice(p2, math.pi / 2)
+        else:
+            # a Clifford's nonzero entries share one modulus
+            cl = on_lattice(p1, math.pi / 4) and on_lattice(p2, math.pi, math.pi / 2)
+        return {"clifford": cl, "matchgate": False, "dual_unitary": True}
     (p1,) = spec.phi
     return {
         "clifford": on_lattice(p1, math.pi),

@@ -359,24 +359,43 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def parse_grid(text: str) -> list:
-    """Comma-separated angles, or lin:<start>:<stop>:<count> for a linspace, as Python floats."""
+def parse_grid(text: str) -> np.ndarray:
+    """Comma-separated angles, or lin:<start>:<stop>:<count>, as a 1-d float64 array.
+
+    A lin: grid holds np.linspace(start, stop, count) bit for bit: the same
+    arithmetic on one arange, without linspace's general-purpose wrapper.
+    """
     text = text.strip()
     if not text:
         raise InputError("empty grid")
-    if text.startswith("lin:"):
-        parts = text.split(":")
-        if len(parts) != 4:
-            raise InputError("linear grid is lin:<start>:<stop>:<count>")
-        start, stop = parse_angle(parts[1]), parse_angle(parts[2])
-        try:
-            count = int(parts[3])
-        except ValueError:
-            raise InputError(f"linear grid count must be an integer, got {parts[3]!r}") from None
-        if count < 1:
-            raise InputError("empty grid")
-        return np.linspace(start, stop, count).tolist()
-    return [parse_angle(v) for v in text.split(",")]
+    if not text.startswith("lin:"):
+        return np.array([parse_angle(v) for v in text.split(",")])
+    parts = text.split(":")
+    if len(parts) != 4:
+        raise InputError("linear grid is lin:<start>:<stop>:<count>")
+    start, stop = parse_angle(parts[1]), parse_angle(parts[2])
+    try:
+        count = int(parts[3])
+    except ValueError:
+        raise InputError(f"linear grid count must be an integer, got {parts[3]!r}") from None
+    if count < 1:
+        raise InputError("empty grid")
+    # a numpy subtraction, so an overflowing span warns as linspace's does
+    delta = np.subtract(stop, start)
+    # a single point is start + 0 * delta, and delta / 1 is delta
+    div = max(count - 1, 1)
+    step = delta / div
+    y = np.arange(count, dtype=float)
+    if step != 0:
+        y *= step
+    else:
+        # the step underflows, as over a denormal span or equal endpoints
+        y /= div
+        y *= delta
+    y += start
+    if count > 1:
+        y[-1] = stop
+    return y
 
 
 def _sweep_spec(family: str, kind: int, phi, mu) -> baxterize.YbSpec:
@@ -395,38 +414,52 @@ def _pieces(template: str, values: list) -> list:
     return ((template + "|") * len(values) % tuple(values)).split("|")[:-1]
 
 
-def _repeats_half(x: np.ndarray) -> bool:
-    """Whether at least half of the values of x repeat, by one sort."""
-    ordered = np.sort(x, axis=None)
-    return 2 * (1 + np.count_nonzero(ordered[1:] != ordered[:-1])) <= x.size
+def _distinct_half(x: np.ndarray):
+    """(sorted distinct values, index of each value of x among them) of a flat
+    x, by one argsort, when at least half of its values repeat; else None."""
+    order = x.argsort()
+    ordered = x[order]
+    # whether each sorted value differs from the one before it
+    first = np.empty(x.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    if 2 * np.count_nonzero(first) > x.size:
+        return None
+    index = np.empty(x.size, dtype=np.intp)
+    # each value's place in the table, scattered back to its place in x
+    index[order] = first.cumsum() - 1
+    return ordered[first], index
 
 
 def cmd_sweep(args) -> int:
     phis, mus = parse_grid(args.phi_grid), parse_grid(args.mu_grid)
     # one batch spec of a phi column and a mu row; rows run over mu within each phi
-    spec = _sweep_spec(args.family, args.kind, np.array(phis)[:, None], np.array(mus)[None, :])
-    a = baxterize.yb_nonlocal_closed(spec)
-    # yb_ep's formula, on the point at hand
-    ep = weyl.entangling_power_from_point(a)
-    # one cell per CSV piece, each led by its separator; + 0.0 normalizes
-    # negative zeros out of the CSV. Each grid value is formatted once, not once per row
-    lead = _pieces(f"\n{args.family},{args.kind},%.17g", [v + 0.0 for v in phis])
+    a = baxterize.yb_nonlocal_closed(_sweep_spec(args.family, args.kind, phis[:, None], mus[None, :]))
+    # the a1, a2, a3, ep values of each row; ep by yb_ep's formula, on the
+    # point at hand. + 0.0 normalizes negative zeros out of the CSV
+    point = np.empty(a.shape[:-1] + (4,))
+    point[..., :3] = a
+    point[..., 3] = weyl.entangling_power_from_point(a)
+    point += 0.0
+    # one cell per CSV piece, each led by its separator. Each grid value is
+    # formatted once, not once per row
+    lead = _pieces(f"\n{args.family},{args.kind},%.17g", (phis + 0.0).tolist())
     cells = np.empty(a.shape[:-1] + (6,), dtype=object)
     cells[..., 0] = np.array(lead, dtype=object)[:, None]
-    cells[..., 1] = _pieces(",%.17g", [v + 0.0 for v in mus])
-    point = np.concatenate([a, ep[..., None]], axis=-1) + 0.0
-    # formatting each distinct value once pays for the dedupe and the index
-    # from 10 rows on, once at least half of the a1, a2, a3, ep values repeat
-    # (as on grids symmetric about 0, or along a chamber edge)
-    if ep.size >= 10 and _repeats_half(point):
-        values, index = np.unique(point.ravel(), return_inverse=True)
+    cells[..., 1] = _pieces(",%.17g", (mus + 0.0).tolist())
+    # formatting each distinct value once pays for the index from 10 rows on,
+    # once at least half of the values repeat (as on grids symmetric about 0,
+    # or along a chamber edge)
+    rows = phis.size * mus.size
+    distinct = _distinct_half(point.ravel()) if rows >= 10 else None
+    if distinct is not None:
+        values, index = distinct
         table = np.array(_pieces(",%.17g", values.tolist()), dtype=object)
-        # of a flat input, every numpy version returns a flat inverse
         cells[..., 2:] = table[index.reshape(point.shape)]
         text = "".join(cells.ravel().tolist())
     else:
         cells[..., 2:] = point
-        text = ("%s%s" + ",%.17g" * 4) * ep.size % tuple(cells.ravel().tolist())
+        text = ("%s%s" + ",%.17g" * 4) * rows % tuple(cells.ravel().tolist())
     _emit("family,kind,phi,mu,a1,a2,a3,ep" + text + "\n", args.out)
     return 0
 

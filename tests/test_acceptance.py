@@ -114,9 +114,9 @@ def test_criterion_04_nonlocal_closed_forms():
 
 
 large_angle = st.floats(-1e300, 1e300)
-# mu as criterion 04 draws it; build_yb returns the identity for |mu| < 1e-12
-# at a kind-1 pole, which the closed form does not follow
-mu_draw = st.floats(1e-9, 1.5).flatmap(lambda m: st.sampled_from([m, -m]))
+# mu as criterion 04 draws it, and down to 0 through the denormals, where a
+# kind-1 gate at a pole phase is a signed SWAP for any mu != 0
+mu_draw = (st.floats(0, 1e-9) | st.floats(1e-9, 1.5)).flatmap(lambda m: st.sampled_from([m, -m]))
 braid_large = st.sampled_from(sorted(BRAID_PHI)).flatmap(lambda f: st.builds(
     BraidSpec, st.just(f), st.lists(large_angle, min_size=BRAID_PHI[f], max_size=BRAID_PHI[f])))
 yb_large = st.sampled_from(ALL_YB).flatmap(lambda fk: st.builds(
@@ -128,10 +128,13 @@ yb_large = st.sampled_from(ALL_YB).flatmap(lambda fk: st.builds(
 @example(BraidSpec("III", (1e300, PI / 2)))
 @example(BraidSpec("II", (1e308, -1e308, 1e308)))
 @example(YbSpec("IV", 1, 1e300, (0.7,)))
+@example(YbSpec("I", 1, 1e-13, (0.0, 0.0, 0.0)))
+@example(YbSpec("III", 1, -5e-324, (0.0, 0.0)))
+@example(YbSpec("II", 1, 0.0, (0.0, 0.0, 0.0)))
 def test_criterion_04_past_two_pi(spec):
-    """Criterion 04 at phases, and family IV's chi, out to 1e300: the gate
-    applies exact trig to each phase, and the closed forms read it modulo
-    2 pi before it enters a linear form."""
+    """Criterion 04 at phases, and family IV's chi, out to 1e300, and at mu
+    down to 0: the gate applies exact trig to each phase, and the closed forms
+    read it modulo 2 pi before it enters a linear form."""
     try:
         if isinstance(spec, BraidSpec):
             closed, gate = braid_nonlocal_closed(spec), build_braid(spec)
@@ -139,6 +142,7 @@ def test_criterion_04_past_two_pi(spec):
             closed, gate = yb_nonlocal_closed(spec), build_yb(spec)
     except ValueError:
         assume(False)  # a singular Yang-Baxter gate
+    assert unitarity_residual(gate) <= 1e-12
     assert np.max(np.abs(closed - extract_nonlocal(gate))) < 1e-7
 
 

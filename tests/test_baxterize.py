@@ -252,6 +252,22 @@ def test_batch_spec_shapes():
         YbSpec("I", 1, np.zeros(3), (0.0, np.zeros(2), 0.0))
 
 
+@pytest.mark.parametrize("family, spectral, phi", [
+    ("I", np.zeros((2, 3)), (np.zeros(2), 0.0, 0.0)),
+    ("II", np.zeros((2, 1)), (np.zeros(3), np.zeros((4, 3)), 0.0)),
+    ("III", 0.5, (np.zeros((2, 3)), np.zeros((3, 2)))),
+    ("IV", np.zeros((5, 1, 2)), (np.zeros((4, 3)),)),
+])
+def test_batch_spec_shapes_that_do_not_broadcast(family, spectral, phi):
+    """A batch spec whose parameter shapes do not broadcast together raises
+    the ValueError of np.broadcast_shapes, message and all."""
+    with pytest.raises(ValueError) as want:
+        np.broadcast_shapes(*(v.shape for v in (spectral, *phi) if isinstance(v, np.ndarray)))
+    with pytest.raises(ValueError) as got:
+        YbSpec(family, 1, spectral, phi)
+    assert str(got.value) == str(want.value)
+
+
 @settings(max_examples=60)
 @given(
     st.sampled_from(ALL_GATES),

@@ -199,6 +199,33 @@ def test_braid_table_on_lattice_examples():
     assert is_clifford(build_braid(s))
 
 
+PI_8_LATTICE = [k * PI / 8 for k in range(16)]
+
+
+@pytest.mark.parametrize("family", ["I", "II", "III", "IV"])
+def test_braid_predictions_on_the_pi_8_lattice(family):
+    """predicted == classification at every (phi1, phi2) on the (pi/8)Z
+    lattice in [0, 2 pi)^2 (phi1 alone for family IV); the further phases of
+    families I and II are drawn from the same lattice, 4 draws per point."""
+    rng = np.random.default_rng(32)
+    n = PHI_COUNT[family]
+    for head in itertools.product(PI_8_LATTICE, repeat=min(n, 2)):
+        for _ in range(4 if n > 2 else 1):
+            s = BraidSpec(family, (*head, *rng.choice(PI_8_LATTICE, n - len(head))))
+            assert numeric_verdicts(build_braid(s)) == predict_conditions(s), s
+
+
+def test_family_iii_clifford_off_the_pi_4_lattice_in_phi2():
+    """At sin phi1 = 0 the family III braid gate is a signed SWAP for any
+    phi2; at cos phi1 = 0 it is a phased permutation, Clifford for phi2 on
+    the pi/2 lattice."""
+    for phi, clifford in [((0.0, 0.3), True), ((PI, 1.0), True), ((PI / 2, PI), True),
+                          ((PI / 2, 0.0), True), ((-PI / 2, 0.3), False), ((PI / 4, PI), False)]:
+        s = BraidSpec("III", phi)
+        assert predict_conditions(s)["clifford"] is clifford
+        assert is_clifford(build_braid(s)) is clifford
+
+
 def test_braid_predictions_at_large_phases():
     """Each lattice test reads its angle modulo 2 pi, so predictions hold for
     phases drawn log-uniform out to 1e300, and the sums of phases near the

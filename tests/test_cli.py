@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -230,11 +231,42 @@ def test_linear_grid_count_must_be_an_integer(capsys):
 
 
 def test_parse_grid():
-    assert cli.parse_grid("0,pi/2") == [0.0, PI / 2]
-    lin = cli.parse_grid("lin:0:pi:5")
+    assert cli.parse_grid("0,pi/2").tolist() == [0.0, PI / 2]
+    lin = cli.parse_grid("lin:0:pi:5").tolist()
     assert len(lin) == 5 and lin[0] == 0.0 and lin[-1] == pytest.approx(PI)
     with pytest.raises(cli.InputError):
         cli.parse_grid("")
+
+
+def _grid_outcome(make):
+    """The bytes of a grid, or the kind of the first RuntimeWarning it raises
+    as an error. The wording after the kind differs across numpy versions."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return make().tobytes()
+        except RuntimeWarning as e:
+            return str(e).partition(" encountered")[0]
+
+
+endpoints = st.floats(allow_nan=False, allow_infinity=False) | st.floats(-1e-306, 1e-306)
+
+
+@given(st.one_of(st.tuples(endpoints, endpoints), endpoints.map(lambda x: (x, x))), st.integers(1, 64))
+@example((0.0, -0.0), 1)
+@example((-0.0, -0.0), 3)
+@example((5e-324, 2e-323), 7)
+@example((-1e-310, 1e-310), 64)
+@example((0.3, 0.3), 3)
+@example((0.5, 2.0), 1)
+@example((-1e308, 1e308), 5)
+@example((1.7976931348623157e308, -1.7976931348623157e308), 1)
+def test_linear_grid_is_linspace(ends, count):
+    """lin:a:b:n holds np.linspace(a, b, n) bit for bit, signed zeros and
+    denormals included, and an overflowing span warns as linspace does."""
+    start, stop = ends
+    want = _grid_outcome(lambda: np.linspace(start, stop, count))
+    assert _grid_outcome(lambda: cli.parse_grid(f"lin:{start!r}:{stop!r}:{count}")) == want
 
 
 # --- analyze ---------------------------------------------------------------
@@ -601,9 +633,18 @@ FAMILY_KINDS = [("I", 1), ("I", 2), ("I", 3), ("II", 1), ("II", 2), ("II", 3),
                 ("III", 1), ("III", 2), ("III", 3), ("IV", 1)]
 
 
+def reference_grid(text):
+    """A grid argument read without cli.parse_grid: lin:a:b:n by np.linspace,
+    and a comma grid one parse_angle at a time."""
+    if text.startswith("lin:"):
+        _, start, stop, count = text.split(":")
+        return np.linspace(cli.parse_angle(start), cli.parse_angle(stop), int(count))
+    return np.array([cli.parse_angle(v) for v in text.split(",")])
+
+
 def sweep_csv_per_row(family, kind, phi_grid, mu_grid):
     """Reference CSV: the sweep table formatted row by row with %.17g."""
-    phi, mu = np.meshgrid(cli.parse_grid(phi_grid), cli.parse_grid(mu_grid), indexing="ij")
+    phi, mu = np.meshgrid(reference_grid(phi_grid), reference_grid(mu_grid), indexing="ij")
     a = baxterize.yb_nonlocal_closed(cli._sweep_spec(family, kind, phi, mu))
     ep = weyl.entangling_power_from_point(a)
     table = np.column_stack([phi.ravel(), mu.ravel(), a.reshape(-1, 3), ep.ravel()]) + 0.0
