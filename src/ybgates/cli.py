@@ -364,6 +364,8 @@ def parse_grid(text: str) -> np.ndarray:
 
     A lin: grid holds np.linspace(start, stop, count) bit for bit: the same
     arithmetic on one arange, without linspace's general-purpose wrapper.
+    A span stop - start past the float range, where linspace warns, is an
+    InputError.
     """
     text = text.strip()
     if not text:
@@ -380,8 +382,9 @@ def parse_grid(text: str) -> np.ndarray:
         raise InputError(f"linear grid count must be an integer, got {parts[3]!r}") from None
     if count < 1:
         raise InputError("empty grid")
-    # a numpy subtraction, so an overflowing span warns as linspace's does
-    delta = np.subtract(stop, start)
+    delta = stop - start
+    if not math.isfinite(delta):
+        raise InputError(f"linear grid span {parts[2]} - {parts[1]} is not finite")
     # a single point is start + 0 * delta, and delta / 1 is delta
     div = max(count - 1, 1)
     step = delta / div

@@ -80,11 +80,13 @@ def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
 
     The minimizer is phi = arg tr(a^dag b); evaluating the norm at that
     phase directly avoids the sqrt(8 - 2|tr|) cancellation noise near zero.
+    The argument is math.atan2's, which returns an underflowing angle where
+    cmath.phase raises OverflowError (cmath.phase(4 + 5e-324j)).
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     t = complex(np.vdot(a, b))  # tr(a^dag b)
-    phi = -cmath.phase(t) if abs(t) > 0 else 0.0
+    phi = -math.atan2(t.imag, t.real) if abs(t) > 0 else 0.0
     return frob(a - cmath.exp(1j * phi) * b)
 
 

@@ -66,6 +66,21 @@ def _magic_frame(u: np.ndarray, det) -> np.ndarray:
     return _MAGIC_DAG @ (u * det ** (-0.25)) @ _MAGIC
 
 
+def _spectrum(u: np.ndarray):
+    """(det, ubar, angles, p) of a gate: det = det(gate), ubar its
+    SU(4)-normalized magic-basis form and m = ubar^T ubar =
+    p diag(exp(i angles)) p^T, p real orthogonal (`sym_unitary_eig`).
+
+    The gate is u admitted through `unitary_part(u, 1e-8)`.  Every chamber
+    point of the library is read off these angles.
+    """
+    gate, _ = unitary_part(u, 1e-8)
+    det = np.linalg.det(gate)
+    ubar = _magic_frame(gate, det)
+    angles, p = sym_unitary_eig(ubar.T @ ubar)
+    return det, ubar, angles, p
+
+
 # ---------------------------------------------------------------------------
 # Weyl chamber canonicalization
 # ---------------------------------------------------------------------------
@@ -242,10 +257,7 @@ def kak_decompose(u: np.ndarray) -> KakDecomposition:
     A u within 1e-8 of unitary is decomposed through its polar factor
     (`linalg.unitary_part`), and the result is checked against u as given.
     """
-    gate, _ = unitary_part(u, 1e-8)
-    det = np.linalg.det(gate)
-    ubar = _magic_frame(gate, det)
-    angles, p = sym_unitary_eig(ubar.T @ ubar)
+    det, ubar, angles, p = _spectrum(u)
     a = _chamber_point(angles, clamp=False)
     d = _PHASE_MAP @ a
     dist = np.abs(np.exp(1j * angles)[:, None] - _SIGNS[:, None, None] * np.exp(1j * d))
@@ -269,14 +281,13 @@ def kak_decompose(u: np.ndarray) -> KakDecomposition:
 def extract_nonlocal(u: np.ndarray) -> np.ndarray:
     """Canonical chamber coordinates of a two-qubit unitary, in the chamber.
 
-    Only the spectrum of m = ubar^T ubar is needed (see `kak_decompose`).
-    On the base band a3 is clamped to 0, where `kak_decompose(u).a` keeps
-    the exact Weyl image, down to a3 = -CHAMBER_TOL.  A u within 1e-8 of
-    unitary gives the point of its polar factor.
+    Only the spectrum of m = ubar^T ubar is needed (see `kak_decompose`),
+    taken by the same `_spectrum` step, so the point is `kak_decompose(u).a`
+    with a3 clamped at 0: on the base band KAK keeps the exact Weyl image,
+    down to a3 = -CHAMBER_TOL.  A u within 1e-8 of unitary gives the point
+    of its polar factor.
     """
-    gate, _ = unitary_part(u, 1e-8)
-    ubar = _magic_frame(gate, np.linalg.det(gate))
-    return _chamber_point(np.angle(np.linalg.eigvals(ubar.T @ ubar)), clamp=True)
+    return _chamber_point(_spectrum(u)[2], clamp=True)
 
 
 # ---------------------------------------------------------------------------

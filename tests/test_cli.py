@@ -148,6 +148,27 @@ def test_braid_gate_with_overflowing_phases(capsys, monkeypatch, command):
         assert code == 0 and out
 
 
+def test_analyze_braid_gate_with_a_degenerate_spectrum(capsys, monkeypatch):
+    """A phased permutation whose m = ubar^T ubar is i I up to 4.6e-18
+    off-diagonal entries, where a general eigensolver does not converge."""
+    spec = {"braid": {"family": "I", "phi": [0, 0, 1.1786734576358608e16, 1.1786734576358608e16]}}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(spec)))
+    code, out, err = run(capsys, "analyze", "--mc-samples", "64", "-")
+    assert code == 0 and err == ""
+    assert np.max(np.abs(np.array(json.loads(out)["nonlocal"]) - PI / 2)) <= 1e-12
+
+
+@pytest.mark.parametrize("command", ["analyze", "synth"])
+def test_gate_with_an_underflowing_phase(capsys, monkeypatch, command):
+    """diag(1, 1, 1, e^{i 1e-309}): the phase of tr(a^dag b) underflows,
+    where cmath.phase raises OverflowError."""
+    matrix = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
+    matrix[3][3] = [1.0, 1e-309]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"matrix": matrix})))
+    code, out, err = run(capsys, command, "-")
+    assert code == 0 and out and "error" not in err
+
+
 @pytest.mark.parametrize(
     "spec", _BRAID_LARGE_PHASES, ids=["II-overflow", "III-overflow", "III-1e300"]
 )
@@ -263,10 +284,17 @@ endpoints = st.floats(allow_nan=False, allow_infinity=False) | st.floats(-1e-306
 @example((1.7976931348623157e308, -1.7976931348623157e308), 1)
 def test_linear_grid_is_linspace(ends, count):
     """lin:a:b:n holds np.linspace(a, b, n) bit for bit, signed zeros and
-    denormals included, and an overflowing span warns as linspace does."""
+    denormals included.  A span that overflows, where linspace warns, is an
+    input error."""
     start, stop = ends
     want = _grid_outcome(lambda: np.linspace(start, stop, count))
-    assert _grid_outcome(lambda: cli.parse_grid(f"lin:{start!r}:{stop!r}:{count}")) == want
+    text = f"lin:{start!r}:{stop!r}:{count}"
+    if math.isfinite(stop - start):
+        assert _grid_outcome(lambda: cli.parse_grid(text)) == want
+    else:
+        assert want == "overflow"
+        with pytest.raises(cli.InputError, match="is not finite"):
+            cli.parse_grid(text)
 
 
 # --- analyze ---------------------------------------------------------------
@@ -627,6 +655,16 @@ def test_sweep_empty_grid(tmp_path, capsys):
         capsys, "sweep", "--family", "I", "--phi-grid", "lin:0:1:0", "--mu-grid", "0",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("grid", ["lin:-1e308:1e308:3", "lin:1.7976931348623157e308:-1e308:1"])
+def test_sweep_overflowing_linear_span_is_one_error_line(grid):
+    """A lin: span past the float range exits 2 with one error line and no
+    numpy warning, in a process of its own (default warning filters)."""
+    proc = _cli_process("sweep", "--family", "I", "--phi-grid", grid, "--mu-grid", "0.5")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: linear grid span ") and "is not finite" in proc.stderr
 
 
 FAMILY_KINDS = [("I", 1), ("I", 2), ("I", 3), ("II", 1), ("II", 2), ("II", 3),
@@ -1157,13 +1195,22 @@ def test_verify_judges_a_perturbed_braid_gate_as_given(eps):
     assert report["residuals"]["unitarity"] == unitarity_residual(m)
 
 
-def test_python_dash_m_runs_the_cli():
+def _cli_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
     src = str(Path(ybgates.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "ybgates", "analyze", "-"],
-        input=json.dumps({"named": "cnot"}), capture_output=True, text=True, env=env, timeout=120,
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _cli_process(*argv, stdin=None):
+    """`python -m ybgates argv` in a process of its own."""
+    return subprocess.run(
+        [sys.executable, "-m", "ybgates", *argv],
+        input=stdin, capture_output=True, text=True, env=_cli_env(), timeout=120,
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _cli_process("analyze", "-", stdin=json.dumps({"named": "cnot"}))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["min_cnot_count"] == 1
 
@@ -1185,10 +1232,8 @@ def test_cli_runs_without_scipy(tmp_path):
         "from ybgates import cli\n"
         "sys.exit(max(cli.main(argv) for argv in json.loads(sys.argv[1])))\n"
     )
-    src = str(Path(ybgates.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-c", script, json.dumps(argvs)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_cli_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -445,6 +445,7 @@ def test_synthesized_ops_are_valid_gate_ops(u):
 @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
 @example(PI, -PI)
 @example(0.0, 0.0)
+@example(206.28125, 1.4334321826230805e-303)  # the phase of a KAK check underflows
 def test_synth_zz_and_riv_ops_are_valid_gate_ops(x, y):
     _check_ops(synth_zz(x))
     _check_ops(synth_riv(x, y))
