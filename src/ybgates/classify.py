@@ -206,10 +206,11 @@ def _predict_yb(spec: YbSpec) -> dict:
         mu = spec.mu
         swap_like = abs(mu) <= LATTICE_TOL or on_lattice(phi, math.pi)
         if kind == 1:
+            # sin phi = 0 and mu != 0 put the gate on the edge A2A3
             return {
                 "clifford": on_lattice(omega, math.pi) and swap_like,
                 "matchgate": on_lattice(phi, math.pi, math.pi / 2),
-                "dual_unitary": False,
+                "dual_unitary": on_lattice(phi, math.pi) and abs(mu) > LATTICE_TOL,
             }
         locus = _iswap_locus(mu, phi, cot=(kind == 3))
         return {
@@ -217,13 +218,13 @@ def _predict_yb(spec: YbSpec) -> dict:
             "matchgate": locus,
             "dual_unitary": True,
         }
-    # family III
+    # family III; kind 1 is on the edge A2A3 at sin 2 phi1 = 0 and mu != 0
     p1, p2 = spec.phi
     return {
         "clifford": on_lattice(p2, math.pi, math.pi / 2)
         and (abs(spec.mu) <= LATTICE_TOL or on_lattice(p1, math.pi / 2)),
         "matchgate": False,
-        "dual_unitary": kind != 1,
+        "dual_unitary": kind != 1 or (on_lattice(p1, math.pi / 2) and abs(spec.mu) > LATTICE_TOL),
     }
 
 

@@ -101,6 +101,8 @@ def sym_unitary_eig(m: np.ndarray):
     and commuting; both are diagonalized simultaneously by the eigenbasis
     of A + tB for almost every t.  We use a fixed irrational t and fall
     back to random draws if a degeneracy of A + tB spoils the result.
+    Each attempt reads the angles off the diagonal of o^T m o and accepts
+    o when the rest of that matrix is within 1e-9 of zero.
     """
     m = np.asarray(m, dtype=complex)
     asym = frob(m - m.T)
@@ -112,17 +114,20 @@ def sym_unitary_eig(m: np.ndarray):
     s = m + m.T
     a = s.real / 2
     b = s.imag / 2
+    diag = slice(None, None, m.shape[0] + 1)  # the diagonal of a raveled n x n
     rng = None
     t = math.sqrt(2.0)  # fixed irrational mixing weight
     for _ in range(20):
         _, o = np.linalg.eigh(a + t * b)
-        da = np.einsum("ij,ik,kj->j", o, a, o)
-        db = np.einsum("ij,ik,kj->j", o, b, o)
-        angles = np.arctan2(db, da)
-        rec = (o * np.exp(1j * angles)) @ o.T
-        if frob(rec - m) <= 1e-9:
+        # for o orthogonal, |o diag(e^{i angles}) o^T - m| = |d - diag(e^{i angles})|
+        d = o.T @ m @ o  # a new C-ordered array: d.ravel() is a view
+        g = d.diagonal()
+        angles = np.arctan2(g.imag, g.real)
+        d.ravel()[diag] -= np.exp(1j * angles)
+        res = frob(d)
+        if res <= 1e-9:
             return angles, o
         if rng is None:  # built on the first retry only
             rng = np.random.default_rng(7)
         t = rng.uniform(0.1, 3.0)
-    raise ValueError(f"failed to diagonalize symmetric unitary (residual {frob(rec - m):.2e})")
+    raise ValueError(f"failed to diagonalize symmetric unitary (residual {res:.2e})")

@@ -88,7 +88,8 @@ def _spectrum(u: np.ndarray):
 def _canonical_point(raw, clamp: bool = True) -> list:
     """Reduce a raw coordinate triple to the chamber, on Python floats.
 
-    Each a_i is shifted into [0, pi), the triple is sorted descending,
+    Each a_i is shifted into [0, pi] (pi when it lies within rounding below
+    a multiple of pi), the triple is sorted descending,
     (a1, a2) -> (pi - a1, pi - a2) when a1 + a2 > pi, and
     [a1, a2, a3] -> [pi - a1, a2, -a3] when a3 <= CHAMBER_TOL and
     a1 > pi/2, each fold followed by a re-sort.  Every step is an exact
@@ -109,6 +110,8 @@ def _canonical_point(raw, clamp: bool = True) -> list:
         n = math.floor(a[i] / pi)
         if n != 0:
             a[i] -= n * pi
+        if a[i] < 0:  # a / pi underflowed to -0.0 or rounded up to an integer
+            a[i] += pi
     sort_desc()
     if a[0] + a[1] > pi:
         a[0], a[1] = -a[0] + pi, -a[1] + pi
@@ -145,7 +148,9 @@ def canonicalize(raw) -> np.ndarray:
         return np.array(_canonical_point(a.tolist()))
     pi = math.pi
     n = np.floor(a / pi)
-    a = _sort_desc(np.where(n != 0, a - n * pi, a))
+    a = np.where(n != 0, a - n * pi, a)
+    np.add(a, pi, out=a, where=a < 0)
+    _sort_desc(a)
     # (a1, a2) -> (pi - a1, pi - a2) via a pairwise flip plus shifts
     fold = a[..., 0] + a[..., 1] > pi
     a[..., 0] = np.where(fold, -a[..., 0] + pi, a[..., 0])
@@ -167,10 +172,12 @@ def _chamber_point(angles: np.ndarray, clamp: bool) -> np.ndarray:
     reduced as `_canonical_point` reduces it: clamped into the chamber, or,
     with clamp=False, the exact Weyl image that KAK reconstructs the gate from.
     """
-    half = angles / 2
-    if math.cos(half.sum()) < 0:
-        half[0] += math.pi
-    return np.array(_canonical_point((half @ _PHASE_MAP / 2).tolist(), clamp))
+    h0, h1, h2, h3 = (x / 2 for x in angles.tolist())
+    if math.cos(h0 + h1 + h2 + h3) < 0:
+        h0 += math.pi
+    # the columns of _PHASE_MAP, on Python floats
+    raw = ((h0 + h1 - h2 - h3) / 2, (-h0 + h1 - h2 + h3) / 2, (h0 - h1 - h2 + h3) / 2)
+    return np.array(_canonical_point(raw, clamp))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
@@ -248,6 +248,33 @@ def test_lattice_points_many_turns_out():
             x = offset + int(rng.integers(-8, 8)) * step + 2 * PI * int(turns)
             assert on_lattice(x, step, offset)
             assert not on_lattice(x + 1e-3, step, offset)
+
+
+@st.composite
+def lattice_yb_specs(draw):
+    """A Yang-Baxter spec of families I-III with mu in {0.3, -1, 0} and its
+    phases on the (pi/8)Z lattice."""
+    family = draw(st.sampled_from(["I", "II", "III"]))
+    phi = draw(st.lists(st.sampled_from(PI_8_LATTICE), min_size=YB_PHI_COUNT[family],
+                        max_size=YB_PHI_COUNT[family]))
+    return YbSpec(family, draw(st.integers(1, 3)), draw(st.sampled_from([0.3, -1.0, 0.0])), tuple(phi))
+
+
+@settings(max_examples=600)
+@given(lattice_yb_specs())
+@example(YbSpec("III", 1, 0.3, (0.0, 0.0)))
+@example(YbSpec("III", 1, -1.0, (PI / 2, PI / 8)))
+@example(YbSpec("III", 1, 0.0, (0.0, 0.0)))
+@example(YbSpec("I", 1, 0.3, (PI / 8, PI / 4, 0.0)))
+@example(YbSpec("II", 1, -1.0, (0.0, PI, -PI)))
+def test_yb_dual_unitary_predictions_on_the_pi_8_lattice(s):
+    """Kind 1 is dual-unitary on the edge A2A3: at sin phi = 0 (sin 2 phi1 = 0
+    for family III) with mu != 0.  Kinds 2 and 3 always are."""
+    try:
+        u = build_yb(s)
+    except ValueError:  # family III kinds 2 and 3 at their singular points
+        return
+    assert predict_conditions(s)["dual_unitary"] is classify_gate(u).is_dual_unitary
 
 
 def test_iswap_locus_conditions():

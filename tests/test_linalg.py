@@ -88,6 +88,26 @@ def test_sym_unitary_eig_degenerate_spectrum():
     assert frob(ob @ np.diag(np.exp(1j * angles)) @ ob.T - m) < 1e-9
 
 
+@given(st.sampled_from([2, 3, 4]), st.integers(1, 4), st.sampled_from([None, 0.0, np.pi, -np.pi]),
+       st.integers(0, 2**32 - 1))
+def test_sym_unitary_eig_on_repeated_and_real_eigenphases(n, repeat, pinned, seed):
+    """Eigenphases that repeat up to n times, or sit at +-1: the basis is
+    orthogonal, rebuilds m, and gives the angles of the two-einsum formula
+    (diagonals of o^T A o and o^T B o for m = A + iB) on the same o."""
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(-np.pi, np.pi, n)
+    t[: min(repeat, n)] = t[0] if pinned is None else pinned
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    m = (q * np.exp(1j * t)) @ q.T
+    angles, o = sym_unitary_eig(m)
+    assert frob(o.T @ o - np.eye(n)) <= 1e-10
+    assert frob((o * np.exp(1j * angles)) @ o.T - m) <= 1e-9
+    s = (m + m.T) / 2
+    old = np.arctan2(np.einsum("ij,ik,kj->j", o, s.imag, o), np.einsum("ij,ik,kj->j", o, s.real, o))
+    # on the circle: an eigenvalue -1 reads as pi or -pi
+    assert np.abs(np.exp(1j * angles) - np.exp(1j * old)).max() <= 1e-12
+
+
 def test_sym_unitary_eig_rejects_bad_input():
     with pytest.raises(ValueError):
         sym_unitary_eig(np.array([[0, 1], [0, 0]], dtype=complex))

@@ -127,6 +127,9 @@ _BAND_POINTS = [
     (-1.2, 0.5, 5e-8),
     (0.5, 5e-8 + PI, 2.0 - 2 * PI),
 ]
+# Negative coordinates whose shift by floor(a / pi) falls short: a / pi
+# underflows to -0.0, or rounds to the integer -162 one ulp below -162 pi.
+_SHIFT_POINTS = [(0.0, -1.0, -5e-324), (0.0, -1.0, -508.9380098815465)]
 
 
 @given(chamber_raw)
@@ -139,6 +142,8 @@ _BAND_POINTS = [
 @example(_BRANCH_POINTS[6])
 @example(_BAND_POINTS[0])
 @example(_BAND_POINTS[4])
+@example(_SHIFT_POINTS[0])
+@example(_SHIFT_POINTS[1])
 def test_canonicalize_matches_move_reduction(raw):
     """The array reduction equals the scalar reduction bit for bit.
 
@@ -193,6 +198,8 @@ def test_canonicalize_grid_matches_single_points(grid):
 @example(_BAND_POINTS[2])
 @example(_BAND_POINTS[3])
 @example(_BAND_POINTS[4])
+@example(_SHIFT_POINTS[0])
+@example(_SHIFT_POINTS[1])
 def test_canonicalize_lands_in_chamber_on_every_branch(raw):
     """The reduced point is in the chamber; only the clamp moves it off the
     exact Weyl image, and only a3, by at most CHAMBER_TOL."""
