@@ -65,13 +65,9 @@ def clifford_table(u: np.ndarray):
     }
 
 
-def _table_is_clifford(table: dict) -> bool:
-    return all(r <= CLIFFORD_TOL for _, _, r in table.values())
-
-
 def is_clifford(u: np.ndarray) -> bool:
     """True iff U maps every Pauli generator to a signed Pauli string."""
-    return _table_is_clifford(clifford_table(u))
+    return all(r <= CLIFFORD_TOL for _, _, r in clifford_table(u).values())
 
 
 def matchgate_dets(u: np.ndarray):
@@ -87,18 +83,14 @@ def x_shape_residual(u: np.ndarray) -> float:
     return frob(np.asarray(u, dtype=complex)[_OFF_X])
 
 
-def _is_matchgate(u: np.ndarray, dets: tuple) -> bool:
-    outer, inner = dets
-    return x_shape_residual(u) <= CLIFFORD_TOL and abs(outer - inner) <= CLIFFORD_TOL
-
-
 def is_matchgate(u: np.ndarray) -> bool:
     """True iff U is X-shaped with equal outer and inner block determinants.
 
     Both determinants pick up the same factor under a global phase, so
     the test is phase invariant.
     """
-    return _is_matchgate(u, matchgate_dets(u))
+    outer, inner = matchgate_dets(u)
+    return x_shape_residual(u) <= CLIFFORD_TOL and abs(outer - inner) <= CLIFFORD_TOL
 
 
 def reshuffle(u: np.ndarray) -> np.ndarray:
@@ -154,21 +146,19 @@ def predict_conditions(spec) -> dict:
     raise TypeError(f"unsupported spec type {type(spec).__name__}")
 
 
+# the derived phases of the braid families on the edge A2A3; the last one
+# places the gate on the edge
+_EDGE_PHASES = {"I": ("phi_1", "phi_2", "phi_3"), "II": ("phi_1", "phi_2")}
+
+
 def _predict_braid(spec: BraidSpec) -> dict:
     f = spec.family
-    ang = derived_angles(spec)
-    if f == "I":
-        cl = all(on_lattice(ang[k], math.pi / 2) for k in ("phi_1", "phi_2", "phi_3"))
+    if f in _EDGE_PHASES:
+        ang = derived_angles(spec)
+        phases = [ang[k] for k in _EDGE_PHASES[f]]
         return {
-            "clifford": cl,
-            "matchgate": on_lattice(ang["phi_3"], math.pi, math.pi / 2),
-            "dual_unitary": True,
-        }
-    if f == "II":
-        cl = all(on_lattice(ang[k], math.pi / 2) for k in ("phi_1", "phi_2"))
-        return {
-            "clifford": cl,
-            "matchgate": on_lattice(ang["phi_2"], math.pi, math.pi / 2),
+            "clifford": all(on_lattice(x, math.pi / 2) for x in phases),
+            "matchgate": on_lattice(phases[-1], math.pi, math.pi / 2),
             "dual_unitary": True,
         }
     if f == "III":
@@ -201,9 +191,12 @@ def _predict_yb(spec: YbSpec) -> dict:
             "matchgate": True,
             "dual_unitary": False,
         }
+    mu = spec.mu
+    if kind == 1 and mu == 0:
+        # build_yb's kind-1 gate is the identity there
+        return {"clifford": True, "matchgate": True, "dual_unitary": False}
     if f in ("I", "II"):
         phi, omega = spec.phase_params()
-        mu = spec.mu
         swap_like = abs(mu) <= LATTICE_TOL or on_lattice(phi, math.pi)
         if kind == 1:
             # sin phi = 0 and mu != 0 put the gate on the edge A2A3
@@ -221,19 +214,19 @@ def _predict_yb(spec: YbSpec) -> dict:
     # family III; kind 1 is on the edge A2A3 at sin 2 phi1 = 0 and mu != 0
     p1, p2 = spec.phi
     return {
-        "clifford": on_lattice(p2, math.pi, math.pi / 2)
-        and (abs(spec.mu) <= LATTICE_TOL or on_lattice(p1, math.pi / 2)),
+        # sin phi1 = 0 gives a signed SWAP, whatever the kind and phi2
+        "clifford": on_lattice(p1, math.pi)
+        or (on_lattice(p2, math.pi, math.pi / 2)
+            and (abs(mu) <= LATTICE_TOL or on_lattice(p1, math.pi / 2))),
         "matchgate": False,
-        "dual_unitary": kind != 1 or (on_lattice(p1, math.pi / 2) and abs(spec.mu) > LATTICE_TOL),
+        "dual_unitary": kind != 1 or (on_lattice(p1, math.pi / 2) and abs(mu) > LATTICE_TOL),
     }
 
 
 @dataclass
 class ClassificationReport:
     is_clifford: bool
-    clifford_table: dict
     is_matchgate: bool
-    matchgate_dets: tuple
     is_dual_unitary: bool
     dual_residual: float
     predicted: dict | None = None
@@ -242,18 +235,14 @@ class ClassificationReport:
 def classify_gate(u: np.ndarray, spec=None) -> ClassificationReport:
     """Full numeric classification, with symbolic predictions when a spec is given.
 
-    Each numeric quantity is computed once and the verdicts are read off
-    it, as the public predicates read them.
+    The verdicts are the public predicates'; the dual residual is taken
+    once and its verdict read off it, as `is_dual_unitary` reads it.
     """
     u = np.asarray(u, dtype=complex)
-    table = clifford_table(u)
-    dets = matchgate_dets(u)
     dual = dual_unitarity_residual(u)
     return ClassificationReport(
-        is_clifford=_table_is_clifford(table),
-        clifford_table=table,
-        is_matchgate=_is_matchgate(u, dets),
-        matchgate_dets=dets,
+        is_clifford=is_clifford(u),
+        is_matchgate=is_matchgate(u),
         is_dual_unitary=dual <= CLIFFORD_TOL,
         dual_residual=dual,
         predicted=predict_conditions(spec) if spec is not None else None,

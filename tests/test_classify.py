@@ -277,6 +277,30 @@ def test_yb_dual_unitary_predictions_on_the_pi_8_lattice(s):
     assert predict_conditions(s)["dual_unitary"] is classify_gate(u).is_dual_unitary
 
 
+@st.composite
+def identity_and_signed_swap_specs(draw):
+    """A kind-1 spec of families I-III at mu = +-0, whose gate is the
+    identity, or a family III spec at sin phi1 = 0, whose gate is a signed
+    SWAP; every other phase on the (pi/8)Z lattice."""
+    if draw(st.booleans()):
+        family = draw(st.sampled_from(["I", "II", "III"]))
+        phi = draw(st.lists(st.sampled_from(PI_8_LATTICE), min_size=YB_PHI_COUNT[family],
+                            max_size=YB_PHI_COUNT[family]))
+        return YbSpec(family, 1, draw(st.sampled_from([0.0, -0.0])), tuple(phi))
+    phi = (draw(st.sampled_from([0.0, PI])), draw(st.sampled_from(PI_8_LATTICE)))
+    return YbSpec("III", draw(st.integers(1, 3)), draw(st.sampled_from([0.3, -1.0])), phi)
+
+
+@settings(max_examples=600)
+@given(identity_and_signed_swap_specs())
+@example(YbSpec("I", 1, 0.0, (0.0, PI / 8, 3 * PI / 8)))
+@example(YbSpec("III", 1, 0.3, (0.0, 0.0)))
+def test_yb_predictions_at_the_identity_and_signed_swap_points(s):
+    """predicted == classification on all three fields where the gate is
+    the identity or a signed SWAP."""
+    assert numeric_verdicts(build_yb(s)) == predict_conditions(s), s
+
+
 def test_iswap_locus_conditions():
     # tanh(mu/2) = tan(phi/2) makes the second kind a Clifford matchgate
     for _ in range(10):

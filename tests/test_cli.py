@@ -1089,23 +1089,35 @@ commands = st.one_of(
     st.just(["verify", "-"]),
     st.just(["synth", "-"]),
 )
+# the identity with entry (0, 0) at 1e300, whose unitarity residual overflows
+_HUGE_ENTRY = [[[1e300 if i == j == 0 else float(i == j), 0.0] for j in range(4)] for i in range(4)]
+# the identity with subnormal imaginary parts off the diagonal
+_SUBNORMAL_ENTRIES = [[[float(i == j), 0.0 if i == j else 5e-324] for j in range(4)] for i in range(4)]
 
 
 @settings(max_examples=300)
 @given(commands, keyed_specs | json_values)
 @example(["analyze", "-", "--mc-samples", "8", "--seed", "0"], {"matrix": {"a": 1}})
 @example(["analyze", "-", "--mc-samples", "8", "--seed", "0"], {"named": []})
+@example(["analyze", "-", "--mc-samples", "8", "--seed", "0"], {"matrix": _HUGE_ENTRY})
+@example(["verify", "-"], {"matrix": _HUGE_ENTRY})
+@example(["synth", "-"], {"matrix": _HUGE_ENTRY})
+@example(["analyze", "-", "--mc-samples", "8", "--seed", "0"], {"matrix": _SUBNORMAL_ENTRIES})
+@example(["synth", "-"], {"matrix": _SUBNORMAL_ENTRIES})
 def test_cli_survives_arbitrary_spec_json(argv, spec):
-    """Any JSON spec ends in a documented exit code with at most one stderr line."""
+    """Any JSON spec ends in a documented exit code with at most one stderr
+    line; a warning, which a process prints on stderr, counts as one."""
     out, err = io.StringIO(), io.StringIO()
     with (
         mock.patch("sys.stdin", io.StringIO(json.dumps(spec))),
         contextlib.redirect_stdout(out),
         contextlib.redirect_stderr(err),
+        warnings.catch_warnings(record=True) as caught,
     ):
+        warnings.simplefilter("always")
         code = cli.main(argv)
     assert code in (0, 1, 2, 3, 4)
-    assert err.getvalue().count("\n") <= 1
+    assert err.getvalue().count("\n") + len(caught) <= 1, [str(w.message) for w in caught]
 
 
 def _near_unitary(residual, seed):
