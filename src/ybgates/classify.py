@@ -146,16 +146,12 @@ def predict_conditions(spec) -> dict:
     raise TypeError(f"unsupported spec type {type(spec).__name__}")
 
 
-# the derived phases of the braid families on the edge A2A3; the last one
-# places the gate on the edge
-_EDGE_PHASES = {"I": ("phi_1", "phi_2", "phi_3"), "II": ("phi_1", "phi_2")}
-
-
 def _predict_braid(spec: BraidSpec) -> dict:
     f = spec.family
-    if f in _EDGE_PHASES:
+    if f in ("I", "II"):
+        names = ("phi_1", "phi_2", "phi_3") if f == "I" else ("phi_1", "phi_2")
         ang = derived_angles(spec)
-        phases = [ang[k] for k in _EDGE_PHASES[f]]
+        phases = [ang[k] for k in names]
         return {
             "clifford": all(on_lattice(x, math.pi / 2) for x in phases),
             "matchgate": on_lattice(phases[-1], math.pi, math.pi / 2),
