@@ -182,8 +182,12 @@ def _predict_yb(spec: YbSpec) -> dict:
     f, kind = spec.family, spec.kind
     if f == "IV":
         (p1,) = spec.phi
+        chi = spec.chi
         return {
-            "clifford": on_lattice(p1, math.pi) and on_lattice(spec.chi, math.pi / 4),
+            # +-1 at chi in piZ; a phased permutation at chi in pi/2 + piZ
+            "clifford": on_lattice(chi, math.pi)
+            or (on_lattice(chi, math.pi / 2) and on_lattice(p1, math.pi / 2))
+            or (on_lattice(chi, math.pi / 4) and on_lattice(p1, math.pi)),
             "matchgate": True,
             "dual_unitary": False,
         }
@@ -197,13 +201,14 @@ def _predict_yb(spec: YbSpec) -> dict:
         if kind == 1:
             # sin phi = 0 and mu != 0 put the gate on the edge A2A3
             return {
-                "clifford": on_lattice(omega, math.pi) and swap_like,
+                "clifford": on_lattice(omega, math.pi / 2) and swap_like,
                 "matchgate": on_lattice(phi, math.pi, math.pi / 2),
                 "dual_unitary": on_lattice(phi, math.pi) and abs(mu) > LATTICE_TOL,
             }
         locus = _iswap_locus(mu, phi, cot=(kind == 3))
         return {
-            "clifford": on_lattice(omega, math.pi) and (swap_like or locus),
+            "clifford": on_lattice(omega, math.pi / 2) and swap_like
+            or on_lattice(omega, math.pi) and locus,
             "matchgate": locus,
             "dual_unitary": True,
         }

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    PAULI_STRINGS, dagger, frob, kron, phase_distance, sym_unitary_eig, unitary_part,
+    PAULI_STRINGS, dagger, kron, phase_distance, sym_unitary_eig, unitary_part,
 )
 
 CHAMBER_TOL = 1e-7
@@ -190,7 +190,28 @@ def _chamber_point(angles: np.ndarray, clamp: bool) -> np.ndarray:
 _PERMS = np.array(list(itertools.permutations(range(4))))
 _SIGNS = np.array([1.0, -1.0])
 _MATCH = np.arange(2)[:, None] * 16 + _PERMS[:, None, :] * 4 + np.arange(4)
-_SLICES = np.arange(2)
+
+
+def _associate_table() -> np.ndarray:
+    """The real map vec(o) -> vec(t) with t = x y^T for o in SO(4).
+
+    _MAGIC o _MAGIC^dag = A x B with vec(A) = sqrt2 _MAGIC x and
+    vec(B) = sqrt2 _MAGIC y, x and y real unit 4-vectors, and the
+    realignment r[2i + j, 2p + q] = (A x B)[2i + p, 2j + q] of A x B is
+    vec(A) vec(B)^T.  So t = _MAGIC^dag r conj(_MAGIC) / 2: linear in o,
+    and real for every real o, since SO(4) spans the real 4x4 matrices.
+    Column k is the image of the unit matrix with a 1 at flat index k; each
+    entry is 0 or +-1/4, rounded to be exact.
+    """
+    k = _MAGIC @ np.eye(16).reshape(16, 4, 4) @ _MAGIC_DAG
+    r = k.reshape(16, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(16, 4, 4)
+    t = (_MAGIC_DAG @ r @ _MAGIC.conj()).reshape(16, 16).T / 2
+    return np.round(4 * t.real) / 4
+
+
+_ASSOC = _associate_table()
+# the same map for o^T, read off vec(o)
+_ASSOC_T = _ASSOC.reshape(16, 4, 4).transpose(0, 2, 1).reshape(16, 16)
 
 
 @dataclass
@@ -213,35 +234,39 @@ class KakDecomposition:
         )
 
 
-def _factor_local(k: np.ndarray):
-    """Split both slices of a (2, 4, 4) stack, k[s] = e^{i phase_s} (a_s x b_s),
-    with det a_s = det b_s = 1.
+def _local_factors(left: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(4, 2, 2) stack v1, v2, v3, v4 of SU(2) gates with
+    _MAGIC left _MAGIC^dag = v1 x v2 and _MAGIC p^T _MAGIC^dag = v3 x v4,
+    for left and p in SO(4).
 
-    Block (i, j) of k = c (A x B) is c A_ij B: row 2i + j of the
-    realigned matrix r[2i + j, 2p + q] = k[2i + p, 2j + q] is c A_ij
-    vec(B).  With b the largest-norm row, a = r b^* / |b|^2 is
-    vec(A) / A_ij, so r = a b^T and k = a x b exactly.  The realignment
-    keeps the Frobenius norm, so |r - a b^T| is |k - a x b|; past 1e-7
-    over both slices, one of them is not a tensor product.  Dividing a and
-    b by square roots of their determinants leaves the phase of the
-    product of those roots.  Returns (a_0, b_0, a_1, b_1, phase_0, phase_1).
+    Each rotation gives t = x y^T through `_ASSOC` (see `_associate_table`).
+    With y the largest-norm row of t, normalised, and x = t y, normalised,
+    x y^T is t exactly for a rotation, and x gives the gate
+    ((x0 + i x3, x2 + i x1), (-x2 + i x1, x0 - i x3)), of det |x|^2 = 1.
+    _MAGIC and the realignment keep the Frobenius norm, so
+    2 |t - x y^T| is the distance of the bracket from v1 x v2; past 1e-7
+    over both rotations (a det -1 matrix, a NaN), one of them is not a
+    tensor product.
     """
-    r = k.reshape(2, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(2, 4, 4)
-    norms = (r.real**2 + r.imag**2).sum(axis=2)
-    n = norms.argmax(axis=1)
-    b = r[_SLICES, n]
-    a = (r @ b.conj()[:, :, None])[:, :, 0] / norms[_SLICES, n][:, None]
-    resid = frob(r - a[:, :, None] * b[:, None, :])
+    entries, dists = [], []
+    for t in ((_ASSOC @ left.ravel()).tolist(), (_ASSOC_T @ p.ravel()).tolist()):
+        rows = t[0:4], t[4:8], t[8:12], t[12:16]
+        y = max(rows, key=lambda r: r[0] * r[0] + r[1] * r[1] + r[2] * r[2] + r[3] * r[3])
+        # a NaN entry of the rotation reaches every row of t (each column of
+        # _ASSOC has one nonzero per row), so it carries on to the residual
+        ny = math.hypot(*y)
+        y = [v / ny for v in y]
+        y0, y1, y2, y3 = y
+        x = [r0 * y0 + r1 * y1 + r2 * y2 + r3 * y3 for r0, r1, r2, r3 in rows]
+        nx = math.hypot(*x)
+        x = [v / nx for v in x]
+        dists.append(math.dist(t, [xi * yj for xi in x for yj in y]))
+        for x0, x1, x2, x3 in (x, y):
+            entries += (complex(x0, x3), complex(x2, x1), complex(-x2, x1), complex(x0, -x3))
+    resid = 2 * math.hypot(*dists)
     if not resid <= 1e-7:
         raise ValueError(f"matrix is not a tensor product (residual {resid:.2e})")
-    factors, roots = [], []
-    for x00, x01, x10, x11 in (*a.tolist(), *b.tolist()):
-        root = cmath.sqrt(x00 * x11 - x01 * x10)
-        factors.append((x00 / root, x01 / root, x10 / root, x11 / root))
-        roots.append(root)
-    ra0, ra1, rb0, rb1 = roots
-    a0, a1, b0, b1 = np.array(factors, dtype=complex).reshape(4, 2, 2)
-    return a0, b0, a1, b1, cmath.phase(ra0 * rb0), cmath.phase(ra1 * rb1)
+    return np.array(entries).reshape(4, 2, 2)
 
 
 def kak_decompose(u: np.ndarray) -> KakDecomposition:
@@ -259,7 +284,8 @@ def kak_decompose(u: np.ndarray) -> KakDecomposition:
     left = ubar p diag(exp(-i (d/2 + theta))) has left^T left = 1: it is
     real orthogonal, with det +1 once det p = +1.  Then
     U = det(U)^{1/4} e^{i theta} (M left M^dag) core_gate(a) (M p^T M^dag)
-    with M the magic basis, and each bracket is a local gate.
+    with M the magic basis, and each bracket is a local gate, whose SU(2)
+    factors `_local_factors` reads off left and p.
 
     A u within 1e-8 of unitary is decomposed through its polar factor
     (`linalg.unitary_part`), and the result is checked against u as given.
@@ -274,9 +300,8 @@ def kak_decompose(u: np.ndarray) -> KakDecomposition:
         p[:, 0] = -p[:, 0]
     theta = j * math.pi / 2
     left = (ubar @ p * np.exp(-1j * (d / 2 + theta))).real
-    v1, v2, v3, v4, p1, p2 = _factor_local(_MAGIC @ np.stack((left, p.T)) @ _MAGIC_DAG)
-    phase = theta + cmath.phase(det ** 0.25) + p1 + p2
-    phase = float(phase % (2 * math.pi))
+    v1, v2, v3, v4 = _local_factors(left, p)
+    phase = float((theta + cmath.phase(det ** 0.25)) % (2 * math.pi))
     dec = KakDecomposition(v1, v2, v3, v4, a, phase)
     # against u as given, not its polar factor
     resid = phase_distance(dec.reconstruct(), u)

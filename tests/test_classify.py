@@ -301,6 +301,36 @@ def test_yb_predictions_at_the_identity_and_signed_swap_points(s):
     assert numeric_verdicts(build_yb(s)) == predict_conditions(s), s
 
 
+def test_yb_family_iv_predictions_on_the_pi_8_lattice():
+    """predicted == classification at every (chi, phi1) on the (pi/8)Z
+    lattice: the gate is +-1 at chi in piZ and a phased permutation at
+    chi in pi/2 + piZ, Clifford there for phi1 on the pi/2 lattice."""
+    for chi, phi1 in itertools.product(PI_8_LATTICE, repeat=2):
+        s = YbSpec("IV", 1, chi, (phi1,))
+        assert numeric_verdicts(build_yb(s)) == predict_conditions(s), s
+
+
+@pytest.mark.parametrize("family", ["I", "II"])
+def test_yb_families_i_ii_predictions_on_the_pi_8_lattice(family):
+    """predicted == classification for kinds 1-3 at mu in {0.3, -1, +-0}.
+    The gate depends on phi = (phi2 + phi3)/2 - phi1 and omega =
+    (phi2 - phi3)/2 alone, 2 pi-periodic in each up to a global sign, so
+    phi1 = 0 with phi2 in (pi/8)Z on [0, 4 pi) and phi3 on [0, 2 pi) reaches
+    every (phi, omega) of the full (pi/8)Z^3 lattice.  Clifford needs omega
+    on the pi/2 lattice where the gate is SWAP-like, and on the pi lattice on
+    the iSWAP locus of kinds 2 and 3.  The singular points of kinds 2 and 3
+    at mu = 0 are skipped."""
+    for kind, mu in itertools.product((1, 2, 3), (0.3, -1.0, 0.0, -0.0)):
+        for k2, k3 in itertools.product(range(32), range(16)):
+            s = YbSpec(family, kind, mu, (0.0, k2 * PI / 8, k3 * PI / 8))
+            try:
+                u = build_yb(s)
+            except ValueError:
+                assert kind != 1 and mu == 0
+                continue
+            assert numeric_verdicts(u) == predict_conditions(s), s
+
+
 def test_iswap_locus_conditions():
     # tanh(mu/2) = tan(phi/2) makes the second kind a Clifford matchgate
     for _ in range(10):

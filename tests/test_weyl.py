@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
-from scipy.stats import unitary_group
+from scipy.stats import special_ortho_group, unitary_group
 
 from ybgates import braid, cli, synth, weyl
 from ybgates.linalg import SX, SY, SZ, dagger, frob, kron, phase_distance, unitarity_residual
@@ -408,60 +408,74 @@ def test_build_report_reduces_the_point_once(monkeypatch):
         assert len(calls) == 1
 
 
-def _split_single(k):
-    """The split of one 4x4 matrix, kept here as the oracle of the stacked split."""
-    r = k.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    norms = (r.real**2 + r.imag**2).sum(axis=1)
-    n = int(np.argmax(norms))
-    b = r[n]
-    a = r @ b.conj() / norms[n]
-    (a00, a01, a10, a11), (b00, b01, b10, b11) = a.tolist(), b.tolist()
-    ra, rb = cmath.sqrt(a00 * a11 - a01 * a10), cmath.sqrt(b00 * b11 - b01 * b10)
-    return (a / ra).reshape(2, 2), (b / rb).reshape(2, 2), cmath.phase(ra * rb)
+def _rotation(a, b):
+    """The rotation o in SO(4) with MAGIC o MAGIC^dag = a x b, for a, b in SU(2)."""
+    return (dagger(MAGIC) @ kron(a, b) @ MAGIC).real
 
 
-def _haar_pairs(seed, phi):
-    """Two slices e^{+-i phi} (a x b) with Haar factors, and the four factors."""
+rotations = seeds.map(lambda s: special_ortho_group.rvs(4, random_state=s))
+# MAGIC^dag (X x Y) MAGIC is real up to rounding (about 2e-17)
+XY_ROTATION = (dagger(MAGIC) @ kron(SX, SY) @ MAGIC).real
+
+
+@given(rotations, rotations)
+@example(np.eye(4), np.eye(4))
+@example(XY_ROTATION, np.eye(4))
+@example(np.eye(4), XY_ROTATION)
+def test_local_factors_split_rotations(left, p):
+    """MAGIC left MAGIC^dag = v1 x v2 and MAGIC p^T MAGIC^dag = v3 x v4 to
+    1e-12 on Haar SO(4) pairs, each factor of det 1 to 1e-12."""
+    v1, v2, v3, v4 = weyl._local_factors(left, p)
+    for a, b, o in ((v1, v2, left), (v3, v4, p.T)):
+        assert frob(kron(a, b) - MAGIC @ o @ dagger(MAGIC)) <= 1e-12
+        for g in (a, b):
+            assert abs(np.linalg.det(g) - 1) <= 1e-12
+
+
+@given(seeds)
+def test_local_factors_recover_haar_factors(seed):
+    """The rotations of Haar SU(2) pairs split back into those pairs, up to
+    the joint sign that a x b does not see."""
     rng = np.random.default_rng(seed)
-    f = [unitary_group.rvs(2, random_state=rng) for _ in range(4)]
-    k = np.stack((np.exp(1j * phi) * kron(f[0], f[1]), np.exp(-1j * phi) * kron(f[2], f[3])))
-    return k, f
+    f = []
+    for _ in range(4):
+        g = unitary_group.rvs(2, random_state=rng)
+        f.append(g / np.sqrt(np.linalg.det(g)))
+    got = weyl._local_factors(_rotation(f[0], f[1]), _rotation(f[2], f[3]).T)
+    for pair in ((0, 1), (2, 3)):
+        sign = np.sign(np.vdot(f[pair[0]], got[pair[0]]).real)
+        for i in pair:
+            assert frob(got[i] - sign * f[i]) <= 1e-12
 
 
-@given(seeds, st.floats(-PI, PI))
-def test_factor_local_recovers_tensor_products(seed, phi):
-    """Each slice e^{i phi} (a x b) of a Haar stack splits back into det-1 factors of a, b."""
-    k, f = _haar_pairs(seed, phi)
-    a0, b0, a1, b1, p0, p1 = weyl._factor_local(k)
-    for s, (fa, fb, phase) in enumerate(((a0, b0, p0), (a1, b1, p1))):
-        assert frob(np.exp(1j * phase) * kron(fa, fb) - k[s]) <= 1e-12
-        for got, want in ((fa, f[2 * s]), (fb, f[2 * s + 1])):
-            assert abs(np.linalg.det(got) - 1) <= 1e-12
-            assert phase_distance(got, want) <= 1e-12
+@given(rotations, rotations)
+def test_local_factors_slots_split_alike(o1, o2):
+    """The transposed table splits p as the table splits p^T, to 1e-15, and
+    neither slot's factors depend on the other slot."""
+    a = weyl._local_factors(o1, o2)
+    b = weyl._local_factors(o2.T, o1.T)
+    assert np.max(np.abs(a[2:] - b[:2])) <= 1e-15
+    assert np.max(np.abs(a[:2] - b[2:])) <= 1e-15
 
 
-@given(seeds, st.floats(-PI, PI))
-def test_stacked_split_matches_the_single_matrix_split(seed, phi):
-    """Both slices give the factors and phases of the single-matrix algorithm to 1e-15."""
-    k, _ = _haar_pairs(seed, phi)
-    a0, b0, a1, b1, p0, p1 = weyl._factor_local(k)
-    for s, got in enumerate(((a0, b0, p0), (a1, b1, p1))):
-        want = _split_single(k[s])
-        assert np.max(np.abs(got[0] - want[0])) <= 1e-15
-        assert np.max(np.abs(got[1] - want[1])) <= 1e-15
-        assert abs(np.exp(1j * got[2]) - np.exp(1j * want[2])) <= 1e-15
-
-
-def test_factor_local_rejects_entangling_gates():
-    """Either slice alone entangled fails the split."""
-    local = kron(SX, SY @ SZ)
-    for g in (CNOT, SWAP, core_gate([0.3, 0.0, 0.0]), core_gate([1e-6, 0.0, 0.0])):
-        for k in ((g, local), (local, g), (g, g)):
+def test_local_factors_reject_non_rotations():
+    """A det -1 orthogonal matrix, a NaN entry or a scale 1e-6 off 1 in either
+    slot fails the 1e-7 residual check; a scale 1e-9 off 1 passes it."""
+    rng = np.random.default_rng(11)
+    o = special_ortho_group.rvs(4, random_state=rng)
+    swap = (dagger(MAGIC) @ SWAP @ MAGIC).real
+    reflection = special_ortho_group.rvs(4, random_state=rng) @ np.diag([1.0, 1.0, 1.0, -1.0])
+    bad = [swap, reflection, (1 + 1e-6) * o]
+    for k in range(16):
+        nan = o.copy()
+        nan.flat[k] = np.nan
+        bad.append(nan)
+    for b in bad:
+        for pair in ((b, o), (o, b)):
             with pytest.raises(ValueError, match="not a tensor product"):
-                weyl._factor_local(np.stack(k))
-    # a NaN residual fails the check too
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not a tensor product"):
-        weyl._factor_local(np.stack((local, np.full((4, 4), np.nan))))
+                weyl._local_factors(*pair)
+    weyl._local_factors((1 + 1e-9) * o, o)
+    weyl._local_factors(o, (1 + 1e-9) * o)
 
 
 def _near_unitary(seed, residual):
