@@ -1,4 +1,3 @@
-import cmath
 import itertools
 import math
 
@@ -409,13 +408,14 @@ def test_build_report_reduces_the_point_once(monkeypatch):
 
 
 def _rotation(a, b):
-    """The rotation o in SO(4) with MAGIC o MAGIC^dag = a x b, for a, b in SU(2)."""
+    """The rotation o in SO(4) with MAGIC o MAGIC^dag = a x b, for a local
+    gate a x b (MAGIC^dag (a x b) MAGIC is real up to rounding)."""
     return (dagger(MAGIC) @ kron(a, b) @ MAGIC).real
 
 
 rotations = seeds.map(lambda s: special_ortho_group.rvs(4, random_state=s))
-# MAGIC^dag (X x Y) MAGIC is real up to rounding (about 2e-17)
-XY_ROTATION = (dagger(MAGIC) @ kron(SX, SY) @ MAGIC).real
+# its imaginary part before .real is about 2e-17
+XY_ROTATION = _rotation(SX, SY)
 
 
 @given(rotations, rotations)
