@@ -38,6 +38,21 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
 
 
+def kron_entries(x, y, order: tuple = (0, 1, 2, 3)) -> tuple:
+    """Row-major entries of the 4x4 kron of two 2x2 matrices given as their
+    row-major entries (x00, x01, x10, x11), its rows taken in order."""
+    x00, x01, x10, x11 = x
+    y00, y01, y10, y11 = y
+    rows = (
+        (x00 * y00, x00 * y01, x01 * y00, x01 * y01),
+        (x00 * y10, x00 * y11, x01 * y10, x01 * y11),
+        (x10 * y00, x10 * y01, x11 * y00, x11 * y01),
+        (x10 * y10, x10 * y11, x11 * y10, x11 * y11),
+    )
+    i, j, k, l = order
+    return rows[i] + rows[j] + rows[k] + rows[l]
+
+
 # The two-qubit Pauli strings sigma_mu (x) sigma_nu at index 4 mu + nu.
 PAULI_STRINGS = np.array([kron(p, q) for p in PAULIS for q in PAULIS])
 PAULI_STRINGS.setflags(write=False)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baxterize import YbSpec, build_yb
-from .linalg import I2, I4, SX, SZ, dagger, phase_distance
+from .linalg import I2, SX, SZ, dagger, kron_entries, phase_distance
 from .weyl import kak_decompose, min_cnot_count
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -87,39 +87,23 @@ def _mul(x: tuple, y: tuple) -> tuple:
             x10 * y00 + x11 * y10, x10 * y01 + x11 * y11)
 
 
-def _kron_4x4(x: tuple, y: tuple, order: tuple = (0, 1, 2, 3)) -> np.ndarray:
-    """4x4 kron of two 2x2 matrices given as their entries, rows taken in order.
-
-    The 16 entries are built as one flat tuple, so numpy reads them without
-    inferring a shape or a dtype.
-    """
-    x00, x01, x10, x11 = x
-    y00, y01, y10, y11 = y
-    rows = (
-        (x00 * y00, x00 * y01, x01 * y00, x01 * y01),
-        (x00 * y10, x00 * y11, x01 * y10, x01 * y11),
-        (x10 * y00, x10 * y01, x11 * y00, x11 * y01),
-        (x10 * y10, x10 * y11, x11 * y10, x11 * y11),
-    )
-    i, j, k, l = order
-    return np.array(rows[i] + rows[j] + rows[k] + rows[l], dtype=complex).reshape(4, 4)
-
-
 def evaluate(c: Circuit) -> np.ndarray:
     """Unitary of the circuit, including its declared global phase.
 
     The single-qubit ops between two CNOTs act on one 2x2 accumulator per
     qubit, held as four Python complex entries: RZ scales its rows by
     exp(-+i theta/2), the other kinds multiply in their fixed entries.  Each
-    CNOT, and the end of the circuit, applies the kron of the two
-    accumulators (rows permuted by the CNOT) as one 4x4 product.
+    CNOT, and the end of the circuit, closes a segment: the 16 entries of
+    the kron of the two accumulators, rows permuted by the CNOT.  The phase
+    is folded into the last segment's qubit-0 accumulator, and the segments
+    become one (n, 4, 4) array, multiplied from the first on.
     """
-    u = I4
+    entries: list = []
     acc = [_ID_2X2, _ID_2X2]
     for op in c.ops:
         kind = op.kind
         if kind == "CNOT":
-            u = _kron_4x4(*acc, _CNOT_ROWS[op.qubits]) @ u
+            entries += kron_entries(*acc, _CNOT_ROWS[op.qubits])
             acc = [_ID_2X2, _ID_2X2]
             continue
         q = op.qubits[0]
@@ -130,7 +114,14 @@ def evaluate(c: Circuit) -> np.ndarray:
             acc[q] = (e * x00, e * x01, f * x10, f * x11)
         else:
             acc[q] = _mul(_ENTRIES_1Q[kind], acc[q])
-    return cmath.exp(1j * c.phase) * (_kron_4x4(*acc) @ u)
+    e = cmath.exp(1j * c.phase)
+    x00, x01, x10, x11 = acc[0]
+    entries += kron_entries((e * x00, e * x01, e * x10, e * x11), acc[1])
+    segments = np.array(entries, dtype=complex).reshape(-1, 4, 4)
+    u = segments[0]
+    for s in segments[1:]:
+        u = s @ u
+    return u
 
 
 def verify_circuit(c: Circuit, target: np.ndarray) -> float:
@@ -293,7 +284,8 @@ def synth_general(u: np.ndarray) -> Circuit:
     a = ku.a.tolist()
     n = min_cnot_count(a)
     f1d, f2d, f3d, f4d, theta = _FRAME_DAGGERS[n]
-    v1, v2, v3, v4 = (v.ravel().tolist() for v in (ku.v1, ku.v2, ku.v3, ku.v4))
+    f = ku.factors
+    v1, v2, v3, v4 = f[0:4], f[4:8], f[8:12], f[12:16]
     ops: list = []
     phase = ku.phase - theta
     phase += _emit_local(ops, 0, _mul(f3d, v3))

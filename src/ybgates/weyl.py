@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    PAULI_STRINGS, dagger, kron, phase_distance, sym_unitary_eig, unitary_part,
+    PAULI_STRINGS, dagger, kron_entries, phase_distance, sym_unitary_eig, unitary_part,
 )
 
 CHAMBER_TOL = 1e-7
@@ -214,28 +214,48 @@ _ASSOC = _associate_table()
 _ASSOC_T = _ASSOC.reshape(16, 4, 4).transpose(0, 2, 1).reshape(16, 16)
 
 
+def _kak_product(factors: list, phase: float, half: np.ndarray) -> np.ndarray:
+    """e^{i phase} (v1 x v2) _MAGIC diag(half) _MAGIC^dag (v3 x v4) for the
+    16 entries of v1, v2, v3, v4 in `factors`.
+
+    Both brackets are built from the entries as one (2, 4, 4) array, the
+    phase folded into v1; with half = exp(i d/2), d = _PHASE_MAP a, the
+    middle is core_gate(a).
+    """
+    e = cmath.exp(1j * phase)
+    v1 = [e * x for x in factors[0:4]]
+    k = np.array(kron_entries(v1, factors[4:8]) + kron_entries(factors[8:12], factors[12:16]),
+                 dtype=complex).reshape(2, 4, 4)
+    return k[0] @ ((_MAGIC * half) @ _MAGIC_DAG) @ k[1]
+
+
 @dataclass
 class KakDecomposition:
-    """U = e^{i phase} (v1 x v2) core_gate(a) (v3 x v4), a canonical."""
+    """U = e^{i phase} (v1 x v2) core_gate(a) (v3 x v4), a canonical.
 
-    v1: np.ndarray
-    v2: np.ndarray
-    v3: np.ndarray
-    v4: np.ndarray
+    `factors` holds the 16 entries of the SU(2) gates v1, v2, v3, v4, each
+    row-major, as Python complex numbers; v1..v4 read them as fresh 2x2
+    arrays.
+    """
+
+    factors: list
     a: np.ndarray
     phase: float
 
+    def _factor(self, i: int) -> np.ndarray:
+        return np.array(self.factors[4 * i : 4 * i + 4], dtype=complex).reshape(2, 2)
+
+    v1 = property(lambda self: self._factor(0))
+    v2 = property(lambda self: self._factor(1))
+    v3 = property(lambda self: self._factor(2))
+    v4 = property(lambda self: self._factor(3))
+
     def reconstruct(self) -> np.ndarray:
-        return (
-            cmath.exp(1j * self.phase)
-            * kron(self.v1, self.v2)
-            @ core_gate(self.a)
-            @ kron(self.v3, self.v4)
-        )
+        return _kak_product(self.factors, self.phase, np.exp(0.5j * (_PHASE_MAP @ self.a)))
 
 
-def _local_factors(left: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """(4, 2, 2) stack v1, v2, v3, v4 of SU(2) gates with
+def _local_factors(left: np.ndarray, p: np.ndarray) -> list:
+    """The 16 entries of SU(2) gates v1, v2, v3, v4 (each row-major), with
     _MAGIC left _MAGIC^dag = v1 x v2 and _MAGIC p^T _MAGIC^dag = v3 x v4,
     for left and p in SO(4).
 
@@ -266,7 +286,7 @@ def _local_factors(left: np.ndarray, p: np.ndarray) -> np.ndarray:
     resid = 2 * math.hypot(*dists)
     if not resid <= 1e-7:
         raise ValueError(f"matrix is not a tensor product (residual {resid:.2e})")
-    return np.array(entries).reshape(4, 2, 2)
+    return entries
 
 
 def kak_decompose(u: np.ndarray) -> KakDecomposition:
@@ -285,7 +305,9 @@ def kak_decompose(u: np.ndarray) -> KakDecomposition:
     real orthogonal, with det +1 once det p = +1.  Then
     U = det(U)^{1/4} e^{i theta} (M left M^dag) core_gate(a) (M p^T M^dag)
     with M the magic basis, and each bracket is a local gate, whose SU(2)
-    factors `_local_factors` reads off left and p.
+    factors `_local_factors` reads off left and p.  half = exp(i d/2) is
+    taken once: it is D, and conj(half) times e^{-i theta} (1 or -i) is
+    the diagonal of left.
 
     A u within 1e-8 of unitary is decomposed through its polar factor
     (`linalg.unitary_part`), and the result is checked against u as given.
@@ -299,15 +321,15 @@ def kak_decompose(u: np.ndarray) -> KakDecomposition:
     if np.linalg.det(p) < 0:
         p[:, 0] = -p[:, 0]
     theta = j * math.pi / 2
-    left = (ubar @ p * np.exp(-1j * (d / 2 + theta))).real
-    v1, v2, v3, v4 = _local_factors(left, p)
+    half = np.exp(0.5j * d)
+    left = (ubar @ p * (-1j * half.conj() if j else half.conj())).real
+    factors = _local_factors(left, p)
     phase = float((theta + cmath.phase(det ** 0.25)) % (2 * math.pi))
-    dec = KakDecomposition(v1, v2, v3, v4, a, phase)
     # against u as given, not its polar factor
-    resid = phase_distance(dec.reconstruct(), u)
+    resid = phase_distance(_kak_product(factors, phase, half), u)
     if not resid <= 1e-8:
         raise ValueError(f"KAK reconstruction residual {resid:.2e} exceeds 1e-8")
-    return dec
+    return KakDecomposition(factors, a, phase)
 
 
 def extract_nonlocal(u: np.ndarray) -> np.ndarray:

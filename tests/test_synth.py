@@ -9,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
+from ybgates import synth
 from ybgates.baxterize import YbSpec, build_yb
 from ybgates.braid import BraidSpec, build_braid
 from ybgates.linalg import I2, SZ, frob, kron, phase_distance
@@ -115,7 +116,15 @@ circuits = st.builds(
 )
 
 
+_CX01, _CX10 = GateOp("CNOT", (0, 1)), GateOp("CNOT", (1, 0))
+
+
 @given(circuits)
+@example(Circuit([_CX01, GateOp("H", (0,)), GateOp("RZ", (1,), 0.3)], 0.2))  # starts with a CNOT
+@example(Circuit([GateOp("S", (0,)), _CX01, _CX10, GateOp("T", (1,))], -0.7))  # back-to-back CNOTs
+@example(Circuit([_CX01, _CX10] * 15, 1.1))  # 30 CNOTs in a row, 31 segments
+@example(Circuit([GateOp("H", (0,)), GateOp("RZ", (1,), 2.0), _CX01, GateOp("S", (1,))], PI))
+@example(Circuit([GateOp("TDG", (1,)), _CX10, GateOp("RZ", (0,), -1.0)], -PI))
 def test_evaluate_matches_per_op_product(c):
     """The 2x2-accumulator evaluation equals the product of the tests' own
     4x4 op matrices."""
@@ -265,6 +274,20 @@ def test_synth_general_random():
         c = synth_general(u)
         assert verify_circuit(c, u) < 1e-7
         assert c.cnot_count == min_cnot_count(extract_nonlocal(u))
+
+
+def test_synth_general_decomposes_once(monkeypatch):
+    """synth_general runs one KAK per call, through the module binding
+    `synth.kak_decompose`, so a tracer wrapping that name sees every one."""
+    calls = []
+    kak = synth.kak_decompose
+    monkeypatch.setattr(synth, "kak_decompose", lambda u: calls.append(u) or kak(u))
+    gates = [np.eye(4, dtype=complex), CNOT, SWAP, core_gate([PI / 2, PI / 4, 0])]
+    gates += [unitary_group.rvs(4, random_state=np.random.default_rng(s)) for s in range(4)]
+    for u in gates:
+        calls.clear()
+        synth_general(u)
+        assert len(calls) == 1
 
 
 def test_synth_general_landmarks():

@@ -418,6 +418,14 @@ rotations = seeds.map(lambda s: special_ortho_group.rvs(4, random_state=s))
 XY_ROTATION = _rotation(SX, SY)
 
 
+def _factor_gates(entries) -> np.ndarray:
+    """The (4, 2, 2) stack v1, v2, v3, v4 of the 16 entries `_local_factors`
+    returns, after checking that they are 16 Python complex numbers."""
+    assert isinstance(entries, list) and len(entries) == 16
+    assert all(type(x) is complex for x in entries)
+    return np.array(entries).reshape(4, 2, 2)
+
+
 @given(rotations, rotations)
 @example(np.eye(4), np.eye(4))
 @example(XY_ROTATION, np.eye(4))
@@ -425,7 +433,7 @@ XY_ROTATION = _rotation(SX, SY)
 def test_local_factors_split_rotations(left, p):
     """MAGIC left MAGIC^dag = v1 x v2 and MAGIC p^T MAGIC^dag = v3 x v4 to
     1e-12 on Haar SO(4) pairs, each factor of det 1 to 1e-12."""
-    v1, v2, v3, v4 = weyl._local_factors(left, p)
+    v1, v2, v3, v4 = _factor_gates(weyl._local_factors(left, p))
     for a, b, o in ((v1, v2, left), (v3, v4, p.T)):
         assert frob(kron(a, b) - MAGIC @ o @ dagger(MAGIC)) <= 1e-12
         for g in (a, b):
@@ -441,7 +449,7 @@ def test_local_factors_recover_haar_factors(seed):
     for _ in range(4):
         g = unitary_group.rvs(2, random_state=rng)
         f.append(g / np.sqrt(np.linalg.det(g)))
-    got = weyl._local_factors(_rotation(f[0], f[1]), _rotation(f[2], f[3]).T)
+    got = _factor_gates(weyl._local_factors(_rotation(f[0], f[1]), _rotation(f[2], f[3]).T))
     for pair in ((0, 1), (2, 3)):
         sign = np.sign(np.vdot(f[pair[0]], got[pair[0]]).real)
         for i in pair:
@@ -452,8 +460,8 @@ def test_local_factors_recover_haar_factors(seed):
 def test_local_factors_slots_split_alike(o1, o2):
     """The transposed table splits p as the table splits p^T, to 1e-15, and
     neither slot's factors depend on the other slot."""
-    a = weyl._local_factors(o1, o2)
-    b = weyl._local_factors(o2.T, o1.T)
+    a = _factor_gates(weyl._local_factors(o1, o2))
+    b = _factor_gates(weyl._local_factors(o2.T, o1.T))
     assert np.max(np.abs(a[2:] - b[:2])) <= 1e-15
     assert np.max(np.abs(a[:2] - b[2:])) <= 1e-15
 
@@ -476,6 +484,28 @@ def test_local_factors_reject_non_rotations():
                 weyl._local_factors(*pair)
     weyl._local_factors((1 + 1e-9) * o, o)
     weyl._local_factors(o, (1 + 1e-9) * o)
+
+
+@given(st.one_of(seeds.map(lambda s: unitary_group.rvs(4, random_state=np.random.default_rng(s))),
+                 st.builds(_dressed, st.sampled_from([np.eye(4), CNOT, ISWAP, SWAP]), seeds)))
+@example(np.eye(4))
+@example(SWAP)
+@example(_dressed(CNOT, 0))
+def test_reconstruct_is_the_kak_product(u):
+    """`reconstruct()` is e^{i phase} kron(v1, v2) core_gate(a) kron(v3, v4)
+    to 1e-14.  v1..v4 are fresh 2x2 arrays of the entries in `factors`:
+    writing to one leaves the next read alone."""
+    k = kak_decompose(u)
+    want = np.exp(1j * k.phase) * kron(k.v1, k.v2) @ core_gate(k.a) @ kron(k.v3, k.v4)
+    assert frob(k.reconstruct() - want) <= 1e-14
+    for i, name in enumerate(("v1", "v2", "v3", "v4")):
+        v = getattr(k, name)
+        assert v.shape == (2, 2) and v.dtype == complex
+        assert v.ravel().tolist() == k.factors[4 * i : 4 * i + 4]
+        v[:] = 2.0
+        assert getattr(k, name).ravel().tolist() == k.factors[4 * i : 4 * i + 4]
+    with pytest.raises(AttributeError):
+        k.v1 = np.eye(2)
 
 
 def _near_unitary(seed, residual):
