@@ -9,12 +9,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .braid import BraidSpec, build_braid, wrap_phase
-from .linalg import I2, I4, SX, dagger, frob, kron, phase_distance
+from .linalg import I2, I4, dagger, frob, kron, phase_distance, x_gate
 from .weyl import canonicalize, entangling_power_from_point
 
 _YB_PARAM_COUNT = {"I": 3, "II": 3, "III": 2, "IV": 1}
-# Family II gates are family I gates conjugated by X on qubit 1.
-_X1 = kron(I2, SX)
 
 
 @dataclass(frozen=True)
@@ -199,15 +197,7 @@ def build_yb(spec: YbSpec) -> np.ndarray:
         (p1,) = spec.phi
         c, s = math.cos(chi), math.sin(chi)
         e = cmath.exp(1j * p1)
-        return np.array(
-            [
-                [c, 0, 0, e * s],
-                [0, c, s, 0],
-                [0, -s, c, 0],
-                [-s / e, 0, 0, c],
-            ],
-            dtype=complex,
-        )
+        return x_gate((c, e * s, -s / e, c), (c, s, -s, c))
 
     mu = spec.mu
     if fam in ("I", "II"):
@@ -219,12 +209,10 @@ def build_yb(spec: YbSpec) -> np.ndarray:
             # for any den != 0; den = 0 at phi = mu = 0, where the limit along
             # mu = 0 is the identity
             if den == 0:
-                return np.eye(4, dtype=complex)
+                return x_gate((1, 0, 0, 1), (1, 0, 0, 1))
             d = cmath.sin(phi) / den
             o = -1j * cmath.sinh(mu) / den
-            inner = np.array([[d, ew * o], [o / ew, d]], dtype=complex)
-            r = np.eye(4, dtype=complex)
-            r[1:3, 1:3] = inner
+            even, odd = (1, 0, 0, 1), (d, ew * o, o / ew, d)
         else:
             trig, hyp = (math.sin, cmath.sinh) if kind == 2 else (math.cos, cmath.cosh)
             delta = trig(phi / 2) ** 2 + math.sinh(mu / 2) ** 2
@@ -232,13 +220,10 @@ def build_yb(spec: YbSpec) -> np.ndarray:
                 raise ValueError(f"singular parameters for kind-{kind} gate")
             dd = hyp(0.5 * (mu + 1j * phi)) / math.sqrt(delta)
             oo = hyp(0.5 * (mu - 1j * phi)) / math.sqrt(delta)
-            r = np.zeros((4, 4), dtype=complex)
-            r[0, 0] = r[3, 3] = dd
-            r[1, 2] = ew * oo
-            r[2, 1] = oo / ew
-        if fam == "II":
-            r = _X1 @ r @ _X1
-        return r
+            even, odd = (dd, 0, 0, dd), (0, ew * oo, oo / ew, 0)
+        # family II is family I conjugated by X on qubit 1, which exchanges
+        # the even and odd blocks
+        return x_gate(even, odd) if fam == "I" else x_gate(odd, even)
 
     # family III
     p1, p2 = spec.phi
@@ -252,16 +237,9 @@ def build_yb(spec: YbSpec) -> np.ndarray:
         # the ratios below stay accurate for any nonzero co and si; si = 0 at
         # p1 = mu = 0, where the limit along mu = 0 is the identity
         if co == 0 or si == 0:
-            return np.eye(4, dtype=complex)
-        return np.array(
-            [
-                [ch * c1 / co, 0, 0, -e2 * sh * s1 / co],
-                [0, 1j * ch * s1 / si, -sh * c1 / si, 0],
-                [0, -sh * c1 / si, 1j * ch * s1 / si, 0],
-                [sh * s1 / (e2 * co), 0, 0, ch * c1 / co],
-            ],
-            dtype=complex,
-        )
+            return x_gate((1, 0, 0, 1), (1, 0, 0, 1))
+        dd, oo, od = ch * c1 / co, 1j * ch * s1 / si, -sh * c1 / si
+        return x_gate((dd, -e2 * sh * s1 / co, sh * s1 / (e2 * co), dd), (oo, od, od, oo))
     # kinds 2 and 3 share one template: kind 3 swaps sinh and cosh and flips the
     # corner signs; e = sign * e2, written -e2 so that its signed zeros are exact
     x, y, sign, e = (sh, ch, 1.0, e2) if kind == 2 else (ch, sh, -1.0, -e2)
@@ -269,15 +247,8 @@ def build_yb(spec: YbSpec) -> np.ndarray:
     rt = math.hypot(x * c1, y * s1)
     if rt < 1e-12:
         raise ValueError(f"singular parameters for family III kind-{kind} gate")
-    return np.array(
-        [
-            [x * c1, 0, 0, e * y * s1],
-            [0, 1j * y * s1, -x * c1, 0],
-            [0, -x * c1, 1j * y * s1, 0],
-            [-sign * y * s1 / e2, 0, 0, x * c1],
-        ],
-        dtype=complex,
-    ) / rt
+    dd, oo = x * c1, 1j * y * s1
+    return x_gate((dd, e * y * s1, -sign * y * s1 / e2, dd), (oo, -dd, -dd, oo)) / rt
 
 
 # ---------------------------------------------------------------------------

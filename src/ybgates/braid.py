@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, frob, kron
+from .linalg import I2, frob, kron, x_gate
 from .weyl import canonicalize, entangling_power_from_point
 
 FAMILIES = ("I", "II", "III", "IV")
@@ -54,49 +54,17 @@ def build_braid(spec: BraidSpec) -> np.ndarray:
     e = lambda t: cmath.exp(1j * t)
     if f == "I":
         p1, p2, p3, p4 = phi
-        return np.array(
-            [
-                [e(p1), 0, 0, 0],
-                [0, 0, e(p2), 0],
-                [0, e(p3), 0, 0],
-                [0, 0, 0, e(p4)],
-            ],
-            dtype=complex,
-        )
+        return x_gate((e(p1), 0, 0, e(p4)), (0, e(p2), e(p3), 0))
     if f == "II":
         p1, p2, p3 = phi
-        return np.array(
-            [
-                [0, 0, 0, e(p2)],
-                [0, e(p1), 0, 0],
-                [0, 0, e(p1), 0],
-                [e(p3), 0, 0, 0],
-            ],
-            dtype=complex,
-        )
+        return x_gate((0, e(p2), e(p3), 0), (e(p1), 0, 0, e(p1)))
     if f == "III":
         p1, p2 = phi
         c, s = math.cos(p1), math.sin(p1)
-        return np.array(
-            [
-                [c, 0, 0, s * e(p2)],
-                [0, -1j * s, -c, 0],
-                [0, -c, -1j * s, 0],
-                [-s * e(-p2), 0, 0, c],
-            ],
-            dtype=complex,
-        )
+        return x_gate((c, s * e(p2), -s * e(-p2), c), (-1j * s, -c, -c, -1j * s))
     # family IV
     (p1,) = phi
-    return np.array(
-        [
-            [1, 0, 0, e(p1)],
-            [0, 1, 1, 0],
-            [0, -1, 1, 0],
-            [-e(-p1), 0, 0, 1],
-        ],
-        dtype=complex,
-    ) / math.sqrt(2)
+    return x_gate((1, e(p1), -e(-p1), 1), (1, 1, -1, 1)) / math.sqrt(2)
 
 
 def braid_residual(b: np.ndarray) -> float:

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .baxterize import YbSpec
 from .braid import BraidSpec, derived_angles, wrap_phase
-from .linalg import I4, PAULI_STRINGS, dagger, frob
+from .linalg import I4, PAULI_STRINGS, X_EVEN, X_ODD, dagger, frob
 
 CLIFFORD_TOL = 1e-8
 
@@ -36,8 +37,11 @@ _PHASES = (1, 1j, -1, -1j)
 _PHASE_VALUES = np.array(_PHASES)
 _ROWS = np.arange(4)
 
-# entries outside the X pattern: off both the diagonal and the antidiagonal
-_OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+# entries outside the X pattern: in neither parity block
+_OFF_X = np.isin(np.arange(16), X_EVEN + X_ODD, invert=True).reshape(4, 4)
+# the row-major entries of each parity block from a flat list of the 16 entries
+_EVEN_BLOCK = operator.itemgetter(*X_EVEN)
+_ODD_BLOCK = operator.itemgetter(*X_ODD)
 
 
 def clifford_table(u: np.ndarray):
@@ -71,11 +75,11 @@ def is_clifford(u: np.ndarray) -> bool:
 
 
 def matchgate_dets(u: np.ndarray):
-    """(outer-block determinant, inner-block determinant) of an X-shaped gate."""
-    (u00, _, _, u03), (_, u11, u12, _), (_, u21, u22, _), (u30, _, _, u33) = (
-        np.asarray(u, dtype=complex).tolist()
-    )
-    return u00 * u33 - u03 * u30, u11 * u22 - u12 * u21
+    """(even-block determinant, odd-block determinant) of an X-shaped gate."""
+    entries = np.asarray(u, dtype=complex).ravel().tolist()
+    e00, e01, e10, e11 = _EVEN_BLOCK(entries)
+    o00, o01, o10, o11 = _ODD_BLOCK(entries)
+    return e00 * e11 - e01 * e10, o00 * o11 - o01 * o10
 
 
 def x_shape_residual(u: np.ndarray) -> float:
@@ -84,13 +88,13 @@ def x_shape_residual(u: np.ndarray) -> float:
 
 
 def is_matchgate(u: np.ndarray) -> bool:
-    """True iff U is X-shaped with equal outer and inner block determinants.
+    """True iff U is X-shaped with equal even and odd block determinants.
 
     Both determinants pick up the same factor under a global phase, so
     the test is phase invariant.
     """
-    outer, inner = matchgate_dets(u)
-    return x_shape_residual(u) <= CLIFFORD_TOL and abs(outer - inner) <= CLIFFORD_TOL
+    even, odd = matchgate_dets(u)
+    return x_shape_residual(u) <= CLIFFORD_TOL and abs(even - odd) <= CLIFFORD_TOL
 
 
 def reshuffle(u: np.ndarray) -> np.ndarray:

@@ -53,6 +53,24 @@ def kron_entries(x, y, order: tuple = (0, 1, 2, 3)) -> tuple:
     return rows[i] + rows[j] + rows[k] + rows[l]
 
 
+# An X-type gate has its nonzero entries in two 2x2 parity blocks: the even
+# block on {|00>, |11>} and the odd block on {|01>, |10>} (the G(A, B) form of
+# matchgates).  These are the flat indices of each block's entries in a
+# row-major 4x4, each block row-major.
+X_EVEN = (0, 3, 12, 15)
+X_ODD = (5, 6, 9, 10)
+
+
+def x_gate(even, odd) -> np.ndarray:
+    """The 4x4 X-type gate with the given row-major even and odd blocks."""
+    e00, e01, e10, e11 = even
+    o00, o01, o10, o11 = odd
+    # one array of the flat entries: a zeros-and-scatter build is slower
+    return np.array(
+        [e00, 0, 0, e01, 0, o00, o01, 0, 0, o10, o11, 0, e10, 0, 0, e11], dtype=complex
+    ).reshape(4, 4)
+
+
 # The two-qubit Pauli strings sigma_mu (x) sigma_nu at index 4 mu + nu.
 PAULI_STRINGS = np.array([kron(p, q) for p in PAULIS for q in PAULIS])
 PAULI_STRINGS.setflags(write=False)

@@ -229,13 +229,14 @@ def _kak_product(factors: list, phase: float, half: np.ndarray) -> np.ndarray:
     return k[0] @ ((_MAGIC * half) @ _MAGIC_DAG) @ k[1]
 
 
-@dataclass
+@dataclass(eq=False)
 class KakDecomposition:
     """U = e^{i phase} (v1 x v2) core_gate(a) (v3 x v4), a canonical.
 
     `factors` holds the 16 entries of the SU(2) gates v1, v2, v3, v4, each
     row-major, as Python complex numbers; v1..v4 read them as fresh 2x2
-    arrays.
+    arrays.  Decompositions compare by identity, as the array `a` has no
+    single truth value.
     """
 
     factors: list

@@ -747,3 +747,11 @@ def test_chamber_location_tags():
 def test_locally_equivalent():
     assert locally_equivalent(CNOT, random_local() @ CNOT @ random_local())
     assert not locally_equivalent(CNOT, SWAP)
+
+
+def test_kak_decompositions_compare_by_identity():
+    # the generated __eq__ would compare the array `a` and raise
+    k, k2 = kak_decompose(CNOT), kak_decompose(CNOT)
+    assert k == k
+    assert k != k2
+    assert k in [k2, k]
