@@ -9,10 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .braid import BraidSpec, build_braid, wrap_phase
-from .linalg import I2, I4, dagger, frob, kron, phase_distance, x_gate
+from .linalg import I4, dagger, frob, phase_distance, relation_sides, x_gate
 from .weyl import canonicalize, entangling_power_from_point
 
 _YB_PARAM_COUNT = {"I": 3, "II": 3, "III": 2, "IV": 1}
+III_SINGULAR_TOL = 1e-14  # below it, family III kinds 2 and 3 are singular: see `_raw_point`
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,11 @@ class YbSpec:
     def __post_init__(self):
         if self.family not in _YB_PARAM_COUNT:
             raise ValueError(f"unknown family {self.family!r}")
+        kind = self.kind
+        integral = isinstance(kind, (float, np.floating)) and kind.is_integer()
+        if isinstance(kind, (bool, np.bool_)) or not (integral or hasattr(kind, "__index__")):
+            raise ValueError(f"kind must be an integer, got {kind!r}")
+        object.__setattr__(self, "kind", int(kind))
         if self.family == "IV":
             if self.kind != 1:
                 raise ValueError("family IV has a single kind")
@@ -245,7 +251,7 @@ def build_yb(spec: YbSpec) -> np.ndarray:
     x, y, sign, e = (sh, ch, 1.0, e2) if kind == 2 else (ch, sh, -1.0, -e2)
     # hypot, not the root of a sum of squares, stays finite as long as the entries do
     rt = math.hypot(x * c1, y * s1)
-    if rt < 1e-12:
+    if rt / ch < III_SINGULAR_TOL:  # rt / cosh mu: the tanh form `_raw_point` tests
         raise ValueError(f"singular parameters for family III kind-{kind} gate")
     dd, oo = x * c1, 1j * y * s1
     return x_gate((dd, e * y * s1, -sign * y * s1 / e2, dd), (oo, -dd, -dd, oo)) / rt
@@ -262,16 +268,6 @@ def scaled_distance(lhs: np.ndarray, rhs: np.ndarray) -> float:
     return frob(lhs - c * rhs)
 
 
-def _left(r: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """(R x 1) M for a 4x4 R and an 8x8 M, without forming R x 1."""
-    return (r @ m.reshape(4, 16)).reshape(8, 8)
-
-
-def _right(r: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """(1 x R) M for a 4x4 R and an 8x8 M: R on each half of M's rows."""
-    return (r @ m.reshape(2, 4, 8)).reshape(8, 8)
-
-
 def ybe_residual(spec: YbSpec, mu: float, nu: float) -> float:
     """Spectral-parameter Yang-Baxter equation residual on the 8x8 operands.
 
@@ -284,9 +280,7 @@ def ybe_residual(spec: YbSpec, mu: float, nu: float) -> float:
         return build_yb(spec.at(x_to_chi(math.exp(s)) if spec.family == "IV" else s))
 
     rx, ry, rxy = gate(mu), gate(nu), gate(mu + nu)
-    a = _left(rx, _right(rxy, kron(ry, I2)))
-    b = _right(ry, _left(rxy, kron(I2, rx)))
-    return scaled_distance(a, b)
+    return scaled_distance(*relation_sides(rx, rxy, ry))
 
 
 def braid_limit_residual(spec: YbSpec, mu_large: float) -> float:
@@ -350,7 +344,7 @@ def _raw_point(spec: YbSpec) -> tuple:
     th = np.tanh(mu)
     x, y = (th, 1.0) if kind == 2 else (1.0, th)
     u, v = x * np.cos(p1), y * np.sin(p1)
-    if np.any(np.hypot(u, v) < 1e-14):
+    if np.any(np.hypot(u, v) < III_SINGULAR_TOL):
         raise ValueError(f"singular parameters for family III kind-{kind} point")
     t = np.arctan2(np.abs(v), u)
     return half_pi, half_pi, half_pi - 2 * t

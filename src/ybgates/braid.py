@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, frob, kron, x_gate
+from .linalg import frob, relation_sides, x_gate
 from .weyl import canonicalize, entangling_power_from_point
 
 FAMILIES = ("I", "II", "III", "IV")
@@ -70,9 +70,8 @@ def build_braid(spec: BraidSpec) -> np.ndarray:
 def braid_residual(b: np.ndarray) -> float:
     """Frobenius norm of (B x 1)(1 x B)(B x 1) - (1 x B)(B x 1)(1 x B)."""
     b = np.asarray(b, dtype=complex)
-    b1 = kron(b, I2)
-    b2 = kron(I2, b)
-    return frob(b1 @ b2 @ b1 - b2 @ b1 @ b2)
+    lhs, rhs = relation_sides(b, b, b)
+    return frob(lhs - rhs)
 
 
 def derived_angles(spec: BraidSpec) -> dict:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .baxterize import YbSpec
 from .braid import BraidSpec, derived_angles, wrap_phase
-from .linalg import I4, PAULI_STRINGS, X_EVEN, X_ODD, dagger, frob
+from .linalg import PAULI_STRINGS, X_EVEN, X_ODD, dagger, frob, unitarity_residual
 
 CLIFFORD_TOL = 1e-8
 
@@ -104,8 +104,7 @@ def reshuffle(u: np.ndarray) -> np.ndarray:
 
 
 def dual_unitarity_residual(u: np.ndarray) -> float:
-    ut = reshuffle(u)
-    return frob(ut @ dagger(ut) - I4)
+    return unitarity_residual(reshuffle(u))
 
 
 def is_dual_unitary(u: np.ndarray) -> bool:

@@ -20,6 +20,7 @@ POLAR_TOL = 1e-12
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
+I8 = np.eye(8, dtype=complex)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -69,6 +70,21 @@ def x_gate(even, odd) -> np.ndarray:
     return np.array(
         [e00, 0, 0, e01, 0, o00, o01, 0, 0, o10, o11, 0, e10, 0, 0, e11], dtype=complex
     ).reshape(4, 4)
+
+
+def _left(r: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(R x 1) M for a 4x4 R and an 8x8 M, without forming R x 1."""
+    return (r @ m.reshape(4, 16)).reshape(8, 8)
+
+
+def _right(r: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(1 x R) M for a 4x4 R and an 8x8 M: R on each half of M's rows."""
+    return (r @ m.reshape(2, 4, 8)).reshape(8, 8)
+
+
+def relation_sides(r1: np.ndarray, r2: np.ndarray, r3: np.ndarray) -> tuple:
+    """The sides (R1 x 1)(1 x R2)(R3 x 1) and (1 x R3)(R2 x 1)(1 x R1) of the Yang-Baxter equation."""
+    return _left(r1, _right(r2, _left(r3, I8))), _right(r3, _left(r2, _right(r1, I8)))
 
 
 # The two-qubit Pauli strings sigma_mu (x) sigma_nu at index 4 mu + nu.

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from ybgates.baxterize import (
     YbSpec,
-    _left,
-    _right,
     baxterize2,
     baxterize3,
     baxterized_gate,
@@ -25,7 +23,7 @@ from ybgates.baxterize import (
 )
 from ybgates.braid import BraidSpec, build_braid
 from ybgates.cli import _sweep_spec
-from ybgates.linalg import I2, kron, phase_distance, unitarity_residual
+from ybgates.linalg import phase_distance, relation_sides, unitarity_residual
 from ybgates.weyl import (
     canonicalize,
     chamber_location,
@@ -68,6 +66,20 @@ def test_yang_baxter_equation(family, kind):
         s = random_spec(family, kind)
         mu, nu = RNG.uniform(-1.5, 1.5, 2)
         assert ybe_residual(s, mu, nu) < 1e-9
+
+
+@pytest.mark.parametrize("kind, want", [(2, 2), (2.0, 2), (np.int64(3), 3), (np.float64(1.0), 1)])
+def test_yb_spec_kind_is_a_python_int(kind, want):
+    s = YbSpec("I", kind, 0.4, (0.1, 0.2, 0.3))
+    assert s.kind == want and type(s.kind) is int
+
+
+@pytest.mark.parametrize("family", ["I", "IV"])
+@pytest.mark.parametrize("kind", [True, False, np.bool_(True), 2.5, "2", None, [1], math.nan, math.inf])
+def test_yb_spec_kind_must_be_an_integer(family, kind):
+    with pytest.raises(ValueError) as e:
+        YbSpec(family, kind, 0.4, (0.1,) * PHI_COUNT[family])
+    assert str(e.value) == f"kind must be an integer, got {kind!r}"
 
 
 def test_ybe_residual_detects_non_solutions():
@@ -126,9 +138,7 @@ def ybe_residual_of_new_specs(spec, mu, nu):
         return build_yb(YbSpec(spec.family, spec.kind, s, spec.phi))
 
     rx, ry, rxy = gate(mu), gate(nu), gate(mu + nu)
-    a = _left(rx, _right(rxy, kron(ry, I2)))
-    b = _right(ry, _left(rxy, kron(I2, rx)))
-    return scaled_distance(a, b)
+    return scaled_distance(*relation_sides(rx, rxy, ry))
 
 
 @settings(max_examples=100, deadline=None)

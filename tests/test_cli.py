@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import unitary_group
+from test_baxterize import chamber_distance
 
 import ybgates
 from ybgates import baxterize, braid, cli, weyl
@@ -197,6 +198,33 @@ def test_family_three_kinds_two_three_at_large_mu(capsys, monkeypatch, kind, mu)
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(spec)))
     code, out, err = run(capsys, "synth", "-")
     assert code == 0 and err.startswith("cnots=3 ")
+
+
+@pytest.mark.parametrize("kind, message", [(True, "got True"), ("2", "got '2'"), (2.5, "got 2.5")])
+def test_yb_kind_message(capsys, monkeypatch, kind, message):
+    """The kind rule is YbSpec's; the CLI reports it as a bad yb spec."""
+    spec = {"yb": {"family": "IV", "kind": kind, "chi": 0.4, "phi": [0.1]}}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(spec)))
+    code, out, err = run(capsys, "analyze", "-")
+    assert (code, out) == (2, "")
+    assert err == f"error: bad yb spec: kind must be an integer, {message}\n"
+
+
+@pytest.mark.parametrize("kind", [2, 3])
+def test_family_iii_singular_set_is_one_for_analyze_and_sweep(capsys, monkeypatch, kind):
+    """Near the singular points of family III kinds 2 and 3, analyze and sweep
+    both exit 2, or both exit 0 with the same chamber point."""
+    for mu in (0.0, 5e-15, -5e-15, 5e-13, -5e-13, 2e-12, -2e-12, 0.3):
+        for p1 in (0.0, PI / 2, PI, 1e-13):
+            spec = {"yb": {"family": "III", "kind": kind, "mu": mu, "phi": [p1, 0.0]}}
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(spec)))
+            code, out, _ = run(capsys, "analyze", "-", "--mc-samples", "8")
+            sweep = run(capsys, "sweep", "--family", "III", "--kind", str(kind),
+                        f"--phi-grid={p1!r}", f"--mu-grid={mu!r}")
+            assert code == sweep[0] and code in (0, 2), (mu, p1)
+            if code == 0:
+                row = np.array(sweep[1].splitlines()[1].split(",")[4:7], dtype=float)
+                assert chamber_distance(row, np.array(json.loads(out)["nonlocal"])) <= 1e-12, (mu, p1)
 
 
 @pytest.mark.parametrize("kind, code", [(2, 0), (2.0, 0), (2.9, 2), (True, 2), ("2.5", 2)])
@@ -498,6 +526,52 @@ def test_synth_family_iv_cnot_minimal(tmp_path, capsys, chi):
     assert cnots == json.loads(out)["min_cnot_count"]
     if chi == 0.3:
         assert cnots == 2
+
+
+def test_synth_failure_exits_4(tmp_path, capsys, monkeypatch):
+    """A synthesis that fails on an admitted input is exit 4, one error line,
+    no circuit on stdout and no --out file."""
+
+    def fail(u):
+        raise ValueError("synthesis reconstruction failed (residual 1.00e-07)")
+
+    monkeypatch.setattr(cli.synth, "synth_general", fail)
+    path = write_spec(tmp_path, {"named": "cnot"})
+    out_file = tmp_path / "c.txt"
+    for argv in (["synth", path], ["synth", path, "--out", str(out_file)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert err == "error: synthesis reconstruction failed (residual 1.00e-07)\n"
+    assert not out_file.exists()
+
+
+def _haar2(rng):
+    """A Haar-random 2x2 unitary by numpy QR."""
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
+def test_synth_exits_4_exactly_where_synthesis_fails():
+    """Dressed core gates at a3 = 1e-7, inside the chamber's base band: synth
+    exits 4 where synth_general raises on the admitted gate, and 0 elsewhere."""
+    codes = []
+    for a1 in (1.0, 1.5, 2.0):
+        for seed in range(40):
+            g = np.random.default_rng(seed)
+            u = np.kron(_haar2(g), _haar2(g)) @ weyl.core_gate([a1, 0.5, 1e-7]) @ np.kron(_haar2(g), _haar2(g))
+            code, out, err, m = _run_matrix(["synth", "-"], u)
+            try:
+                cli.synth.synth_general(cli.unitary_part(m, cli.UNITARY_TOL)[0])
+                want = 0
+            except ValueError:
+                want = 4
+            assert code == want, (a1, seed, err)
+            if code == 4:
+                assert out == "" and err.startswith("error: synthesis") and err.count("\n") == 1
+            codes.append(code)
+    # a1 = 1.0 at seed 29 is one of the failures
+    assert codes[29] == 4 and 0 in codes
 
 
 @pytest.mark.parametrize(

@@ -2,16 +2,20 @@
 parity blocks, and family II Yang-Baxter gates are family I gates with the
 blocks exchanged."""
 
+import cmath
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
+from test_baxterize import chamber_distance
 
 from ybgates.baxterize import YbSpec, build_yb
 from ybgates.braid import BraidSpec, build_braid
 from ybgates.classify import matchgate_dets, x_shape_residual
 from ybgates.linalg import I2, SX, X_EVEN, X_ODD, kron, x_gate
+from ybgates.weyl import ISWAP, SWAP, canonicalize, core_gate, extract_nonlocal
 
 PI = math.pi
 BRAID_PARAMS = {"I": 4, "II": 3, "III": 2, "IV": 1}
@@ -76,3 +80,54 @@ def test_every_gate_is_x_shaped_by_construction(draw):
         x1 = kron(I2, SX)
         g_i = build_yb(YbSpec("I", spec.kind, spec.mu, spec.phi))
         assert np.array_equal(g, x1 @ g_i @ x1)
+
+
+def parity_block_point(u):
+    """The chamber point of an X-shaped gate from its parity blocks E and O:
+    canonicalize([s + d, s - d, a3]) with s = atan2(|O01|, |O00|),
+    d = atan2(|E01|, |E00|) and a3 = (arg det E - arg det O) / 2."""
+    entries = np.asarray(u).ravel().tolist()
+    e00, e01, e10, e11 = (entries[i] for i in X_EVEN)
+    o00, o01, o10, o11 = (entries[i] for i in X_ODD)
+    s = math.atan2(abs(o01), abs(o00))
+    d = math.atan2(abs(e01), abs(e00))
+    a3 = (cmath.phase(e00 * e11 - e01 * e10) - cmath.phase(o00 * o11 - o01 * o10)) / 2
+    return canonicalize([s + d, s - d, a3])
+
+
+def _haar2(rng):
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
+def _haar_x_gate(seed):
+    """x_gate(E, O) of two Haar-random 2x2 blocks."""
+    rng = np.random.default_rng(seed)
+    return x_gate(_haar2(rng).ravel(), _haar2(rng).ravel())
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 2**32 - 1).map(_haar_x_gate))
+@example(np.eye(4, dtype=complex))
+@example(SWAP)
+@example(ISWAP)
+@example(core_gate([0.0, 0.0, 0.0]))
+@example(core_gate([PI, 0.0, 0.0]))
+@example(core_gate([PI / 2, PI / 2, 0.0]))
+@example(core_gate([PI / 2, PI / 2, PI / 2]))
+@example(core_gate([2.0, 0.5, 1e-8]))
+def test_parity_block_point_is_the_kak_point(u):
+    """The point read off the parity blocks is the one extract_nonlocal finds."""
+    assert chamber_distance(parity_block_point(u), extract_nonlocal(u)) <= 1e-9
+
+
+@pytest.mark.parametrize("gate", GATES)
+@settings(max_examples=40)
+@given(spectral, st.lists(angle, min_size=4, max_size=4))
+def test_parity_block_point_of_every_family(gate, mu, phases):
+    try:
+        g = _build(_spec(gate, mu, phases))
+    except ValueError:  # a singular parameter point
+        reject()
+    assert chamber_distance(parity_block_point(g), extract_nonlocal(g)) <= 1e-9
