@@ -215,13 +215,28 @@ def _predict_yb(spec: YbSpec) -> dict:
             "matchgate": locus,
             "dual_unitary": True,
         }
-    # family III; kind 1 is on the edge A2A3 at sin 2 phi1 = 0 and mu != 0
+    # family III; kind 1 is on the edge A2A3 at sin 2 phi1 = 0 and mu != 0.
+    # The Clifford branches are the X-gate rule on `build_yb`'s blocks: one
+    # modulus for every nonzero entry, their ratios in {1, i, -1, -i}, and
+    # det E / det O real.
     p1, p2 = spec.phi
-    return {
+    if on_lattice(p1, math.pi):
         # sin phi1 = 0 gives a signed SWAP, whatever the kind and phi2
-        "clifford": on_lattice(p1, math.pi)
-        or (on_lattice(p2, math.pi, math.pi / 2)
-            and (abs(mu) <= LATTICE_TOL or on_lattice(p1, math.pi / 2))),
+        cl = True
+    elif on_lattice(p1, math.pi, math.pi / 2):
+        # cos phi1 = 0: E antidiagonal with entries +-i e^{+-i phi2} (kind 1)
+        # or +-e^{+-i phi2} (kinds 2, 3), O diagonal and det E / det O = -1
+        cl = on_lattice(p2, math.pi / 2)
+    elif mu == 0:
+        # kind 3 is E = +-1, O = -+X; kind 2 is E antidiagonal with entries
+        # +-e^{+-i phi2}, O = +-i
+        cl = kind == 3 or on_lattice(p2, math.pi / 2)
+    else:
+        # non-Clifford for mu != 0; the band 0 < |mu| <= LATTICE_TOL is not
+        # decided yet and keeps phi2 on pi/2 + piZ
+        cl = abs(mu) <= LATTICE_TOL and on_lattice(p2, math.pi, math.pi / 2)
+    return {
+        "clifford": cl,
         "matchgate": False,
         "dual_unitary": kind != 1 or (on_lattice(p1, math.pi / 2) and abs(mu) > LATTICE_TOL),
     }

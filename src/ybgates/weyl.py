@@ -54,30 +54,37 @@ ISWAP = np.array(
 _PHASE_MAP = np.array([[1, -1, 1], [1, 1, -1], [-1, -1, -1], [-1, 1, 1]], dtype=float)
 
 
+def _core(half: np.ndarray) -> np.ndarray:
+    """core_gate(a) from half = exp(i d/2), d = _PHASE_MAP a."""
+    return (_MAGIC * half) @ _MAGIC_DAG
+
+
 def core_gate(a) -> np.ndarray:
     """exp(i/2 (a1 XX + a2 YY + a3 ZZ)) for arbitrary finite angles."""
     # The three terms commute and are diagonal in the magic basis.
-    d = _PHASE_MAP @ np.asarray(a, dtype=float)
-    return (_MAGIC * np.exp(0.5j * d)) @ _MAGIC_DAG
+    return _core(np.exp(0.5j * (_PHASE_MAP @ np.asarray(a, dtype=float))))
 
 
-def _magic_frame(u: np.ndarray, det) -> np.ndarray:
-    """The SU(4)-normalized gate in the magic basis, given det = det(u)."""
-    return _MAGIC_DAG @ (u * det ** (-0.25)) @ _MAGIC
-
-
-def _spectrum(u: np.ndarray):
-    """(det, ubar, angles, p) of a gate: det = det(gate), ubar its
-    SU(4)-normalized magic-basis form and m = ubar^T ubar =
-    p diag(exp(i angles)) p^T, p real orthogonal (`sym_unitary_eig`).
-
-    The gate is u admitted through `unitary_part(u, 1e-8)`.  Every chamber
-    point of the library is read off these angles.
+def _gram(u: np.ndarray):
+    """(det, ubar, m) of a gate: det = det(gate), ubar its SU(4)-normalized
+    magic-basis form and m = ubar^T ubar, which the chamber point and the
+    entangling power are read off.  The gate is u admitted at 1e-8
+    (`linalg.unitary_part`).
     """
     gate, _ = unitary_part(u, 1e-8)
     det = np.linalg.det(gate)
-    ubar = _magic_frame(gate, det)
-    angles, p = sym_unitary_eig(ubar.T @ ubar)
+    ubar = _MAGIC_DAG @ (gate * det ** (-0.25)) @ _MAGIC
+    return det, ubar, ubar.T @ ubar
+
+
+def _spectrum(u: np.ndarray):
+    """(det, ubar, angles, p) of a gate: `_gram` with
+    m = p diag(exp(i angles)) p^T, p real orthogonal (`sym_unitary_eig`).
+
+    Every chamber point of the library is read off these angles.
+    """
+    det, ubar, m = _gram(u)
+    angles, p = sym_unitary_eig(m)
     return det, ubar, angles, p
 
 
@@ -220,13 +227,13 @@ def _kak_product(factors: list, phase: float, half: np.ndarray) -> np.ndarray:
 
     Both brackets are built from the entries as one (2, 4, 4) array, the
     phase folded into v1; with half = exp(i d/2), d = _PHASE_MAP a, the
-    middle is core_gate(a).
+    middle is `_core(half)`, that is core_gate(a).
     """
     e = cmath.exp(1j * phase)
     v1 = [e * x for x in factors[0:4]]
     k = np.array(kron_entries(v1, factors[4:8]) + kron_entries(factors[8:12], factors[12:16]),
                  dtype=complex).reshape(2, 4, 4)
-    return k[0] @ ((_MAGIC * half) @ _MAGIC_DAG) @ k[1]
+    return k[0] @ _core(half) @ k[1]
 
 
 @dataclass(eq=False)
@@ -352,11 +359,11 @@ def extract_nonlocal(u: np.ndarray) -> np.ndarray:
 def entangling_power(u: np.ndarray) -> float:
     """Closed-form average output linear entropy over Haar product inputs.
 
-    A u within 1e-8 of unitary gives the value of its polar factor.
+    It is read off tr m for m of `_gram`, which the chamber point shares,
+    but not its eigensolver or chamber reduction.  A u within 1e-8 of
+    unitary gives the value of its polar factor.
     """
-    gate, _ = unitary_part(u, 1e-8)
-    uq = _magic_frame(gate, np.linalg.det(gate))
-    tr = np.trace(uq.T @ uq)
+    tr = np.trace(_gram(u)[2])
     ep = (2 / 9) * (1 - abs(tr) ** 2 / 16)
     return float(min(max(ep, 0.0), 2 / 9))
 

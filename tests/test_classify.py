@@ -295,9 +295,12 @@ def identity_and_signed_swap_specs(draw):
 @given(identity_and_signed_swap_specs())
 @example(YbSpec("I", 1, 0.0, (0.0, PI / 8, 3 * PI / 8)))
 @example(YbSpec("III", 1, 0.3, (0.0, 0.0)))
+@example(YbSpec("III", 1, 0.3, (PI / 2, 0.0)))
+@example(YbSpec("III", 2, -1.0, (PI / 2, PI)))
 def test_yb_predictions_at_the_identity_and_signed_swap_points(s):
     """predicted == classification on all three fields where the gate is
-    the identity or a signed SWAP."""
+    the identity or a signed SWAP, and (the examples at cos phi1 = 0) a
+    phased permutation, Clifford for phi2 = 0 and pi as well."""
     assert numeric_verdicts(build_yb(s)) == predict_conditions(s), s
 
 
@@ -323,6 +326,23 @@ def test_yb_families_i_ii_predictions_on_the_pi_8_lattice(family):
     for kind, mu in itertools.product((1, 2, 3), (0.3, -1.0, 0.0, -0.0)):
         for k2, k3 in itertools.product(range(32), range(16)):
             s = YbSpec(family, kind, mu, (0.0, k2 * PI / 8, k3 * PI / 8))
+            try:
+                u = build_yb(s)
+            except ValueError:
+                assert kind != 1 and mu == 0
+                continue
+            assert numeric_verdicts(u) == predict_conditions(s), s
+
+
+def test_yb_family_iii_predictions_on_the_pi_8_lattice():
+    """predicted == classification for kinds 1-3 at mu in {0.3, -1, +-0} and
+    every (phi1, phi2) on the (pi/8)Z lattice in [0, 2 pi)^2.  Clifford needs
+    sin phi1 = 0, or cos phi1 = 0 with phi2 on the pi/2 lattice, or mu = 0
+    with kind 3, or with kind 2 and phi2 on the pi/2 lattice.  Kinds 2 and 3
+    are singular only at mu = 0, and those points are skipped."""
+    for kind, mu in itertools.product((1, 2, 3), (0.3, -1.0, 0.0, -0.0)):
+        for phi in itertools.product(PI_8_LATTICE, repeat=2):
+            s = YbSpec("III", kind, mu, phi)
             try:
                 u = build_yb(s)
             except ValueError:
