@@ -41,7 +41,6 @@ from .synth import (
     Circuit,
     GateOp,
     evaluate,
-    euler_zxz,
     synth_general,
     synth_riv,
     synth_zz,

@@ -138,19 +138,15 @@ def _wrap(theta: float) -> float:
     return t
 
 
-def euler_zxz(v: np.ndarray):
-    """Angles (alpha, beta, gamma, phase) with V = e^{i phase} Rz(a) Rx(b) Rz(g).
+def _euler_entries(v00: complex, v01: complex, v10: complex, v11: complex):
+    """Angles (alpha, beta, gamma, phase) with V = e^{i phase} Rz(a) Rx(b) Rz(g)
+    for the 2x2 matrix V of the entries v00, v01, v10, v11.
 
     alpha and gamma are in (-pi, pi], beta in [0, pi].  When the
     middle angle is 0 or pi within 1e-12, gamma is set to 0 and folded into
     alpha.  A matrix that is not a phase times a unitary to 1e-10, singular
     or non-finite ones included, raises ValueError.
     """
-    return _euler_entries(*np.asarray(v, dtype=complex).ravel().tolist())
-
-
-def _euler_entries(v00: complex, v01: complex, v10: complex, v11: complex):
-    """`euler_zxz` of the 2x2 matrix with the entries v00, v01, v10, v11."""
     det = v00 * v11 - v01 * v10
     if det == 0 or not cmath.isfinite(det):
         raise ValueError("single-qubit Euler decomposition of a singular or non-finite matrix")

@@ -241,22 +241,13 @@ class KakDecomposition:
     """U = e^{i phase} (v1 x v2) core_gate(a) (v3 x v4), a canonical.
 
     `factors` holds the 16 entries of the SU(2) gates v1, v2, v3, v4, each
-    row-major, as Python complex numbers; v1..v4 read them as fresh 2x2
-    arrays.  Decompositions compare by identity, as the array `a` has no
-    single truth value.
+    row-major, as Python complex numbers.  Decompositions compare by
+    identity, as the array `a` has no single truth value.
     """
 
     factors: list
     a: np.ndarray
     phase: float
-
-    def _factor(self, i: int) -> np.ndarray:
-        return np.array(self.factors[4 * i : 4 * i + 4], dtype=complex).reshape(2, 2)
-
-    v1 = property(lambda self: self._factor(0))
-    v2 = property(lambda self: self._factor(1))
-    v3 = property(lambda self: self._factor(2))
-    v4 = property(lambda self: self._factor(3))
 
     def reconstruct(self) -> np.ndarray:
         return _kak_product(self.factors, self.phase, np.exp(0.5j * (_PHASE_MAP @ self.a)))
@@ -468,56 +459,66 @@ def entangling_power_mc(u: np.ndarray, n: int, seed: int = 0) -> float:
     return float(1.0 - (g @ l @ g).real + 2.0 * (q.conj() @ k @ q).real)
 
 
+# ---------------------------------------------------------------------------
+# Chamber landmarks
+# ---------------------------------------------------------------------------
+
+# The chamber's landmark equations (Zhang, Vala, Sastry & Whaley, PRA 67,
+# 042313, 2003), each holding within CHAMBER_TOL; bit i of `_held(a)` is
+# equation i.
+_EQUATIONS = ("a1", "a2", "a3", "a1 - pi", "a1 - pi/2", "a2 - pi/2", "a3 - pi/2",
+              "a1 - a2", "a2 - a3", "a1 + a2 - pi")
+# Each vertex, edge and face as the mask of the equations that define it,
+# most specific first: a point takes the first tag whose equations all hold.
+_LOCATIONS = {
+    tag: sum(1 << _EQUATIONS.index(e) for e in equations)
+    for tag, *equations in (
+        ("O", "a1", "a2", "a3"),
+        ("A1", "a1 - pi", "a2", "a3"),
+        ("A2", "a1 - pi/2", "a2 - pi/2", "a3"),
+        ("A3", "a1 - pi/2", "a2 - pi/2", "a3 - pi/2"),
+        ("mid OA1", "a1 - pi/2", "a2", "a3"),
+        ("OA1", "a2", "a3"),
+        ("OA2", "a1 - a2", "a3"),
+        ("OA3", "a1 - a2", "a2 - a3"),
+        ("A1A2", "a1 + a2 - pi", "a3"),
+        ("A1A3", "a2 - a3", "a1 + a2 - pi"),
+        ("A2A3", "a1 - pi/2", "a2 - pi/2"),
+        ("OA1A2", "a3"),
+        ("OA2A3", "a1 - a2"),
+        ("A1A2A3", "a1 + a2 - pi"),
+        ("OA1A3", "a2 - a3"),
+    )
+}
+# The minimal CNOT count as rows of the same table: 3 where none holds.
+_CNOT_COUNTS = ((0, _LOCATIONS["O"]), (1, _LOCATIONS["mid OA1"]), (2, _LOCATIONS["OA1A2"]))
+
+
+def _held(a) -> int:
+    """Bitmask of the `_EQUATIONS` that hold at a within CHAMBER_TOL."""
+    a1, a2, a3 = (float(x) for x in a)
+    pi, h = math.pi, math.pi / 2
+    forms = (a1, a2, a3, a1 - pi, a1 - h, a2 - h, a3 - h, a1 - a2, a2 - a3, a1 + a2 - pi)
+    held = 0
+    for bit, form in enumerate(forms):
+        if abs(form) <= CHAMBER_TOL:
+            held |= 1 << bit
+    return held
+
+
 def min_cnot_count(a) -> int:
     """Minimal CNOTs needed for a canonical chamber point."""
-    a1, a2, a3 = (float(x) for x in a)
-    if max(a1, a2, a3) <= CHAMBER_TOL:
-        return 0
-    if abs(a1 - math.pi / 2) <= CHAMBER_TOL and a2 <= CHAMBER_TOL and a3 <= CHAMBER_TOL:
-        return 1
-    if a3 <= CHAMBER_TOL:
-        return 2
+    held = _held(a)
+    for n, m in _CNOT_COUNTS:
+        if held & m == m:
+            return n
     return 3
 
 
-# ---------------------------------------------------------------------------
-# Chamber location tags
-# ---------------------------------------------------------------------------
-
 def chamber_location(a) -> str:
     """Vertex / edge / face / interior tag of a canonical chamber point."""
-    a1, a2, a3 = (float(x) for x in a)
-    pi = math.pi
-
-    def near(x, y):
-        return abs(x - y) <= CHAMBER_TOL
-
-    if near(a1, 0) and near(a2, 0) and near(a3, 0):
-        return "O"
-    if near(a1, pi) and near(a2, 0) and near(a3, 0):
-        return "A1"
-    if near(a1, pi / 2) and near(a2, pi / 2) and near(a3, 0):
-        return "A2"
-    if near(a1, pi / 2) and near(a2, pi / 2) and near(a3, pi / 2):
-        return "A3"
-    if near(a2, 0) and near(a3, 0):
-        return "mid OA1" if near(a1, pi / 2) else "OA1"
-    if near(a1, a2) and near(a3, 0):
-        return "OA2"
-    if near(a1, a2) and near(a2, a3):
-        return "OA3"
-    if near(a1 + a2, pi) and near(a3, 0):
-        return "A1A2"
-    if near(a2, a3) and near(a1 + a2, pi):
-        return "A1A3"
-    if near(a1, pi / 2) and near(a2, pi / 2):
-        return "A2A3"
-    if near(a3, 0):
-        return "OA1A2"
-    if near(a1, a2):
-        return "OA2A3"
-    if near(a1 + a2, pi):
-        return "A1A2A3"
-    if near(a2, a3):
-        return "OA1A3"
+    held = _held(a)
+    for tag, m in _LOCATIONS.items():
+        if held & m == m:
+            return tag
     return "interior"

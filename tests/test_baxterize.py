@@ -21,7 +21,7 @@ from ybgates.baxterize import (
     yb_nonlocal_closed,
     ybe_residual,
 )
-from ybgates.braid import BraidSpec, build_braid
+from ybgates.braid import BraidSpec, braid_nonlocal_closed, build_braid
 from ybgates.cli import _sweep_spec
 from ybgates.linalg import phase_distance, relation_sides, unitarity_residual
 from ybgates.weyl import (
@@ -325,14 +325,37 @@ def test_spec_equality_by_value():
         hash(batch())
 
 
+# The faces a1 = a2 and a1 + a2 = pi with their edges and vertices.
+_KIND_1_LOCI = ("OA2A3", "A1A2A3", "OA2", "OA3", "A2A3", "A1A2", "A1A3", "O", "A1", "A2", "A3")
+
+
 def test_gate_geometry_edges_and_faces():
-    # kinds 2 and 3 of families I-III live on the A2A3 edge; family IV on OA1
+    """The paper's loci, each read off the built gate and the closed form:
+    kinds 2 and 3 of families I-III and braid gates of families I-III on
+    the A2A3 edge, kind 1 of families I-III on the faces a1 = a2 and
+    a1 + a2 = pi, family IV on OA1 and its braid gate at mid OA1."""
     for family in ("I", "II", "III"):
         for kind in (2, 3):
-            loc = chamber_location(yb_nonlocal_closed(random_spec(family, kind)))
-            assert loc in ("A2A3", "A2", "A3")
-    loc = chamber_location(yb_nonlocal_closed(random_spec("IV", 1)))
-    assert loc in ("OA1", "mid OA1", "O", "A1")
+            s = random_spec(family, kind)
+            for a in (extract_nonlocal(build_yb(s)), yb_nonlocal_closed(s)):
+                assert chamber_location(a) in ("A2A3", "A2", "A3")
+    s = random_spec("IV", 1)
+    for a in (extract_nonlocal(build_yb(s)), yb_nonlocal_closed(s)):
+        assert chamber_location(a) in ("OA1", "mid OA1", "O", "A1")
+    # a generator of its own, so the draws of later tests stay as they were
+    rng = np.random.default_rng(5)
+    for family in ("I", "II", "III"):
+        for _ in range(40):
+            s = YbSpec(family, 1, rng.uniform(-1.5, 1.5),
+                       tuple(rng.uniform(0, 2 * PI, PHI_COUNT[family])))
+            for a in (extract_nonlocal(build_yb(s)), yb_nonlocal_closed(s)):
+                assert chamber_location(a) in _KIND_1_LOCI
+    for family, n in (("I", 4), ("II", 3), ("III", 2), ("IV", 1)):
+        want = ("mid OA1",) if family == "IV" else ("A2A3", "A2", "A3")
+        for _ in range(40):
+            s = BraidSpec(family, tuple(rng.uniform(0, 2 * PI, n)))
+            for a in (extract_nonlocal(build_braid(s)), braid_nonlocal_closed(s)):
+                assert chamber_location(a) in want
 
 
 def test_two_eigenvalue_unitarity_real_x_only():

@@ -20,7 +20,6 @@ from ybgates.synth import (
     Circuit,
     GateOp,
     _core_template,
-    euler_zxz,
     evaluate,
     synth_general,
     synth_riv,
@@ -206,15 +205,15 @@ def test_s_t_rz_interchangeability():
 # --- single-qubit Euler decomposition --------------------------------------
 
 def test_euler_zxz_examples():
-    assert np.allclose(euler_zxz(np.eye(2))[:3], 0.0)
-    a, b, g, ph = euler_zxz(rz_matrix(0.7))
+    assert np.allclose(synth._euler_entries(*np.eye(2).ravel().tolist())[:3], 0.0)
+    a, b, g, ph = synth._euler_entries(*rz_matrix(0.7).ravel().tolist())
     assert (a, b, g) == pytest.approx((0.7, 0.0, 0.0))
 
 
 def test_euler_zxz_random_reconstruction():
     for _ in range(200):
         v = unitary_group.rvs(2, random_state=RNG)
-        a, b, g, ph = euler_zxz(v)
+        a, b, g, ph = synth._euler_entries(*v.ravel().tolist())
         rec = cmath.exp(1j * ph) * rz_matrix(a) @ rx_matrix(b) @ rz_matrix(g)
         assert frob(rec - v) < 1e-10
 
@@ -222,7 +221,7 @@ def test_euler_zxz_random_reconstruction():
 def test_euler_zxz_gimbal_cases():
     h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
     for v in (h, np.array([[0, 1], [1, 0]], dtype=complex), rz_matrix(2.2), np.eye(2)):
-        a, b, g, ph = euler_zxz(v)
+        a, b, g, ph = synth._euler_entries(*v.ravel().tolist())
         rec = cmath.exp(1j * ph) * rz_matrix(a) @ rx_matrix(b) @ rz_matrix(g)
         assert frob(rec - v) < 1e-10
 
@@ -237,7 +236,7 @@ angles = st.floats(-PI, PI)
 
 
 def _check_euler(v):
-    a, b, g, ph = euler_zxz(v)
+    a, b, g, ph = synth._euler_entries(*v.ravel().tolist())
     assert -PI < a <= PI and -PI < g <= PI and 0 <= b <= PI
     rec = cmath.exp(1j * ph) * rz_matrix(a) @ rx_matrix(b) @ rz_matrix(g)
     assert frob(rec - v) <= 1e-10
@@ -484,4 +483,4 @@ def test_synth_zz_and_riv_ops_are_valid_gate_ops(x, y):
 ])
 def test_euler_zxz_rejects_nan_inf_and_singular_input(v):
     with pytest.raises(ValueError):
-        euler_zxz(v)
+        synth._euler_entries(*v.ravel().tolist())
