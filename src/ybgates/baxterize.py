@@ -95,11 +95,9 @@ class YbSpec:
         return BraidSpec(self.family, self.phi)
 
     def phase_params(self):
-        """(phi, omega) for families I/II; phi1 (and phi2) for III; phi1 for IV."""
-        if self.family in ("I", "II"):
-            p1, p2, p3 = self.phi
-            return 0.5 * (p2 + p3) - p1, 0.5 * (p2 - p3)
-        return self.phi
+        """(phi, omega) of a family I or II gate; other families have none."""
+        p1, p2, p3 = self.phi
+        return 0.5 * (p2 + p3) - p1, 0.5 * (p2 - p3)
 
 
 def braid_eigenvalues(spec: YbSpec):

@@ -47,17 +47,22 @@ class BraidSpec:
             )
 
 
+def _family_one_phases(spec: BraidSpec) -> tuple:
+    """The four family I phases of a family I or II spec: II sits at phi4 = phi1."""
+    return spec.phi if spec.family == "I" else spec.phi + spec.phi[:1]
+
+
 def build_braid(spec: BraidSpec) -> np.ndarray:
     """Explicit matrix of the braid gate in the computational basis."""
     f = spec.family
     phi = spec.phi
     e = lambda t: cmath.exp(1j * t)
-    if f == "I":
-        p1, p2, p3, p4 = phi
-        return x_gate((e(p1), 0, 0, e(p4)), (0, e(p2), e(p3), 0))
-    if f == "II":
-        p1, p2, p3 = phi
-        return x_gate((0, e(p2), e(p3), 0), (e(p1), 0, 0, e(p1)))
+    if f in ("I", "II"):
+        p1, p2, p3, p4 = _family_one_phases(spec)
+        even, odd = (e(p1), 0, 0, e(p4)), (0, e(p2), e(p3), 0)
+        # family II is family I conjugated by X on qubit 1, which exchanges
+        # the even and odd blocks
+        return x_gate(even, odd) if f == "I" else x_gate(odd, even)
     if f == "III":
         p1, p2 = phi
         c, s = math.cos(p1), math.sin(p1)
@@ -77,33 +82,23 @@ def braid_residual(b: np.ndarray) -> float:
 def derived_angles(spec: BraidSpec) -> dict:
     """Angle combinations entering the closed-form invariants, of the
     phases wrapped by `wrap_phase`."""
-    f = spec.family
-    if f == "I":
-        p1, p2, p3, p4 = map(wrap_phase, spec.phi)
-        return {
-            "phi_1": 0.5 * (-p1 - p2 + p3 + p4),
-            "phi_2": 0.5 * (-p1 + p2 - p3 + p4),
-            "phi_3": 0.5 * (-p1 + p2 + p3 - p4),
-            "omega": 0.5 * (p2 - p3),
-        }
-    if f == "II":
-        p1, p2, p3 = map(wrap_phase, spec.phi)
-        return {
-            "phi_1": 0.5 * (-p2 + p3),
-            "phi_2": 0.5 * (-p2 + 2 * p1 - p3),
-        }
-    return {}
+    if spec.family not in ("I", "II"):
+        return {}
+    p1, p2, p3, p4 = map(wrap_phase, _family_one_phases(spec))
+    return {
+        "phi_1": 0.5 * (-p1 - p2 + p3 + p4),
+        "phi_2": 0.5 * (-p1 + p2 - p3 + p4),
+        "phi_3": 0.5 * (-p1 + p2 + p3 - p4),
+        "omega": 0.5 * (p2 - p3),
+    }
 
 
 def braid_nonlocal_closed(spec: BraidSpec) -> np.ndarray:
     """Closed-form canonical chamber point of the braid gate."""
     f = spec.family
     pi = math.pi
-    if f == "I":
+    if f in ("I", "II"):
         t = derived_angles(spec)["phi_3"]
-        raw = (pi / 2, pi / 2, pi / 2 - t)
-    elif f == "II":
-        t = derived_angles(spec)["phi_2"]
         raw = (pi / 2, pi / 2, pi / 2 - t)
     elif f == "III":
         raw = (pi / 2, pi / 2, pi / 2 - 2 * wrap_phase(spec.phi[0]))

@@ -152,12 +152,10 @@ def predict_conditions(spec) -> dict:
 def _predict_braid(spec: BraidSpec) -> dict:
     f = spec.family
     if f in ("I", "II"):
-        names = ("phi_1", "phi_2", "phi_3") if f == "I" else ("phi_1", "phi_2")
         ang = derived_angles(spec)
-        phases = [ang[k] for k in names]
         return {
-            "clifford": all(on_lattice(x, math.pi / 2) for x in phases),
-            "matchgate": on_lattice(phases[-1], math.pi, math.pi / 2),
+            "clifford": all(on_lattice(ang[k], math.pi / 2) for k in ("phi_1", "phi_2", "phi_3")),
+            "matchgate": on_lattice(ang["phi_3"], math.pi, math.pi / 2),
             "dual_unitary": True,
         }
     if f == "III":

@@ -466,22 +466,21 @@ def entangling_power_mc(u: np.ndarray, n: int, seed: int = 0) -> float:
 # The chamber's landmark equations (Zhang, Vala, Sastry & Whaley, PRA 67,
 # 042313, 2003), each holding within CHAMBER_TOL; bit i of `_held(a)` is
 # equation i.
-_EQUATIONS = ("a1", "a2", "a3", "a1 - pi", "a1 - pi/2", "a2 - pi/2", "a3 - pi/2",
+_EQUATIONS = ("a1", "a2", "a3", "a1 - pi/2", "a2 - pi/2", "a3 - pi/2",
               "a1 - a2", "a2 - a3", "a1 + a2 - pi")
 # Each vertex, edge and face as the mask of the equations that define it,
 # most specific first: a point takes the first tag whose equations all hold.
+# A1 and A1A2 lie past a1 = pi/2 on the base, outside the chamber: no row.
 _LOCATIONS = {
     tag: sum(1 << _EQUATIONS.index(e) for e in equations)
     for tag, *equations in (
         ("O", "a1", "a2", "a3"),
-        ("A1", "a1 - pi", "a2", "a3"),
         ("A2", "a1 - pi/2", "a2 - pi/2", "a3"),
         ("A3", "a1 - pi/2", "a2 - pi/2", "a3 - pi/2"),
         ("mid OA1", "a1 - pi/2", "a2", "a3"),
         ("OA1", "a2", "a3"),
         ("OA2", "a1 - a2", "a3"),
         ("OA3", "a1 - a2", "a2 - a3"),
-        ("A1A2", "a1 + a2 - pi", "a3"),
         ("A1A3", "a2 - a3", "a1 + a2 - pi"),
         ("A2A3", "a1 - pi/2", "a2 - pi/2"),
         ("OA1A2", "a3"),
@@ -498,7 +497,7 @@ def _held(a) -> int:
     """Bitmask of the `_EQUATIONS` that hold at a within CHAMBER_TOL."""
     a1, a2, a3 = (float(x) for x in a)
     pi, h = math.pi, math.pi / 2
-    forms = (a1, a2, a3, a1 - pi, a1 - h, a2 - h, a3 - h, a1 - a2, a2 - a3, a1 + a2 - pi)
+    forms = (a1, a2, a3, a1 - h, a2 - h, a3 - h, a1 - a2, a2 - a3, a1 + a2 - pi)
     held = 0
     for bit, form in enumerate(forms):
         if abs(form) <= CHAMBER_TOL:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,7 +12,8 @@ from ybgates.braid import (
     build_braid,
     derived_angles,
 )
-from ybgates.linalg import unitarity_residual
+from ybgates.classify import predict_conditions
+from ybgates.linalg import X_EVEN, X_ODD, unitarity_residual, x_gate
 from ybgates.weyl import CNOT, entangling_power, extract_nonlocal
 
 RNG = np.random.default_rng(13)
@@ -65,6 +67,32 @@ def test_derived_angle_combinations():
     ang = derived_angles(s)
     assert ang["phi_3"] == pytest.approx(0.5 * (-0.1 + 0.5 + 0.9 - 1.7))
     assert ang["omega"] == pytest.approx(0.5 * (0.5 - 0.9))
+    # family II reads family I's four combinations at phi4 = phi1
+    ang = derived_angles(BraidSpec("II", (0.1, 0.5, 0.9)))
+    assert ang == pytest.approx(
+        {"phi_1": 0.5 * (0.9 - 0.5), "phi_2": 0.5 * (0.5 - 0.9),
+         "phi_3": 0.5 * (0.5 + 0.9) - 0.1, "omega": 0.5 * (0.5 - 0.9)}
+    )
+
+
+def test_family_two_is_family_one_with_its_blocks_exchanged():
+    """II(p) is I(p1, p2, p3, p1) with its parity blocks exchanged, which is
+    conjugation by X on one qubit: a local gate, so both gates share their
+    angle combinations, verdicts and chamber point."""
+    rng = np.random.default_rng(37)
+    lattice = [tuple(k * PI / 8 for k in ks) for ks in itertools.product(range(-8, 8), repeat=3)]
+    seeded = [tuple(p) for p in rng.uniform(-20, 20, (300, 3))]
+    flip = [1, 0, 3, 2]  # X on qubit 1, the right tensor factor
+    for p in lattice + seeded:
+        two, one = BraidSpec("II", p), BraidSpec("I", p + p[:1])
+        g2, g1 = build_braid(two), build_braid(one)
+        flat = g1.ravel()
+        assert np.array_equal(g2, x_gate(flat[list(X_ODD)], flat[list(X_EVEN)]))
+        assert np.array_equal(g2, g1[np.ix_(flip, flip)])
+        assert derived_angles(two) == derived_angles(one)
+        assert predict_conditions(two) == predict_conditions(one)
+        assert np.max(np.abs(braid_nonlocal_closed(two) - braid_nonlocal_closed(one))) <= 1e-14
+        assert np.max(np.abs(extract_nonlocal(g2) - extract_nonlocal(g1))) <= 1e-12
 
 
 def test_spec_validation():

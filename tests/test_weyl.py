@@ -730,18 +730,14 @@ def test_entangling_power_mc_seed_must_be_an_integer():
 
 # Every location tag at a point that defines it, with the point's CNOT
 # count: 0 at O, 1 at mid OA1, 2 elsewhere on the base a3 = 0 and 3 off it.
-# The A1 and A1A2 points lie past a1 = pi/2 on the base, outside the
-# canonical chamber, but the table still tags and counts them.
 _TAG_POINTS = {
     "O": ([0, 0, 0], 0),
-    "A1": ([PI, 0, 0], 2),
     "A2": ([PI / 2, PI / 2, 0], 2),
     "A3": ([PI / 2, PI / 2, PI / 2], 3),
     "mid OA1": ([PI / 2, 0, 0], 1),
     "OA1": ([0.3, 0, 0], 2),
     "OA2": ([0.4, 0.4, 0], 2),
     "OA3": ([0.4, 0.4, 0.4], 3),
-    "A1A2": ([2.0, PI - 2.0, 0], 2),
     "A1A3": ([PI - 0.4, 0.4, 0.4], 3),
     "A2A3": ([PI / 2, PI / 2, 0.4], 3),
     "OA1A2": ([0.3, 0.1, 0], 2),
